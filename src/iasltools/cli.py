@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .construct import (
     NoConstruction, canonical_iasi, strongly_uniform_iasi, two_uniform_iasi,
@@ -53,14 +52,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, search=True):
+    def common(p):
         p.add_argument("--format", choices=("json", "text", "dot"), default="json")
         p.add_argument("--parallel", action="store_true",
-                       help="process batch lines (or oracle checks) in worker threads")
-        if search:
-            p.add_argument("--element-bound", type=int, default=None)
-            p.add_argument("--size-bound", type=int, default=None)
-            p.add_argument("--time-budget", type=float, default=None)
+                       help="accepted for compatibility; runs serially")
+        p.add_argument("--element-bound", type=int, default=None)
+        p.add_argument("--size-bound", type=int, default=None)
+        p.add_argument("--time-budget", type=float, default=None)
 
     p = sub.add_parser("classify", help="classify a set-labeling")
     p.add_argument("--graph", help="graph6 string or file (optional if the "
@@ -164,17 +162,10 @@ def _labeling_from_args(graph_text: str | None, labels_text: str) -> SetLabeling
 
 
 def _config(ns) -> SearchConfig:
-    # --parallel stays an execution strategy (batch threading), never part
-    # of the search semantics, so serial and parallel runs emit identical bytes
-    base = SearchConfig()
-    return SearchConfig(
-        element_bound=ns.element_bound if getattr(ns, "element_bound", None) is not None
-        else base.element_bound,
-        size_bound=ns.size_bound if getattr(ns, "size_bound", None) is not None
-        else base.size_bound,
-        time_budget=ns.time_budget if getattr(ns, "time_budget", None) is not None
-        else base.time_budget,
-    )
+    flags = ("element_bound", "size_bound", "time_budget")
+    return SearchConfig(**{
+        name: getattr(ns, name) for name in flags if getattr(ns, name) is not None
+    })
 
 
 def _echo(ns, cfg: SearchConfig) -> dict:
@@ -215,26 +206,19 @@ def _run_construct(ns, cfg, graph_text):
         out = canonical_iasi(g)
     elif kind == "two-uniform":
         out = two_uniform_iasi(g)
+    elif ns.k is None:
+        raise _CliError(f"--k is required for {kind}")
     elif kind == "weakly-uniform":
-        if ns.k is None:
-            raise _CliError("--k is required for weakly-uniform")
         out = weakly_uniform_iasi(g, ns.k)
     else:
-        if ns.k is None:
-            raise _CliError("--k is required for strongly-uniform")
         out = strongly_uniform_iasi(g, ns.k)
-    if isinstance(out, NoConstruction):
-        if ns.format == "text":
-            return 1, f"none: {out.reason}"
-        return 1, {
-            "command": "construct", "kind": kind,
-            "config": _echo(ns, cfg), "graph6": write_graph6(g),
-            "outcome": out.to_json(),
-        }
+    code = 1 if isinstance(out, NoConstruction) else 0
     if ns.format == "text":
+        if code:
+            return code, f"none: {out.reason}"
         fixes = f", {len(out.repair_log)} repairs" if out.repaired else ""
-        return 0, f"ok: {out.note}{fixes}"
-    return 0, {
+        return code, f"ok: {out.note}{fixes}"
+    return code, {
         "command": "construct", "kind": kind,
         "config": _echo(ns, cfg), "graph6": write_graph6(g),
         "outcome": out.to_json(),
@@ -359,13 +343,9 @@ def _run_oracle(ns, cfg) -> tuple[int, object]:
         if ns.format == "text":
             return 0, "\n".join(CHECK_IDS)
         return 0, {"command": "oracle", "checks": list(CHECK_IDS)}
-    corpus = None
-    if ns.max_vertices is not None or ns.max_element is not None:
-        corpus = Corpus(max_vertices=ns.max_vertices, max_element=ns.max_element)
-    config = cfg if (ns.element_bound is not None or ns.size_bound is not None
-                     or ns.time_budget is not None) else None
+    corpus = Corpus(max_vertices=ns.max_vertices, max_element=ns.max_element)
     if ns.target == "all":
-        suite = run_suite(corpus, config, parallel=ns.parallel)
+        suite = run_suite(corpus, cfg)
         verdict = suite.verdict
         payload = {
             "command": "oracle", "target": "all", "config": _echo(ns, cfg),
@@ -380,7 +360,7 @@ def _run_oracle(ns, cfg) -> tuple[int, object]:
             raise _CliError(
                 f"unknown check {ns.target!r}; try 'oracle list'"
             )
-        check = run_check(ns.target, corpus, config)
+        check = run_check(ns.target, corpus, cfg)
         verdict = check.verdict
         payload = {
             "command": "oracle", "target": ns.target, "config": _echo(ns, cfg),
@@ -410,26 +390,20 @@ def _combine(codes) -> int:
     return 0
 
 
-def _map_lines(ns, lines, worker, batch, parallel):
+def _map_lines(lines, worker, batch):
     """Run worker over batch lines, output order following input order.
 
     Batch runs trap per-line failures as error records so one bad line
     cannot hide the rest; single runs let the failure surface."""
     if not batch:
         return [worker(lines[0])]
-
-    def safe(pair):
-        idx, line = pair
+    results = []
+    for idx, line in enumerate(lines, 1):
         try:
-            return worker(line)
-        except _CliError as exc:
-            return 2, {"error": f"line {idx}: {exc}"}
-
-    numbered = list(enumerate(lines, 1))
-    if parallel and len(lines) > 1:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(safe, numbered))
-    return [safe(p) for p in numbered]
+            results.append(worker(line))
+        except (_CliError, ValueError) as exc:
+            results.append((2, {"error": f"line {idx}: {exc}"}))
+    return results
 
 
 def main(argv=None) -> int:
@@ -466,11 +440,11 @@ def main(argv=None) -> int:
             }[ns.command]
             worker = lambda line: runner(ns, cfg, line)
 
-        results = _map_lines(ns, lines, worker, batch, ns.parallel)
+        results = _map_lines(lines, worker, batch)
         for code, payload in results:
             print(_emit(payload, batch), file=out)
         return _combine({code for code, _ in results})
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded:

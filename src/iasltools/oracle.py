@@ -8,31 +8,38 @@ builds and verifies a witness, the nonexistence side exhausts a bounded
 label space.  Counterexample records are self-contained, so they can be
 re-verified with the arithmetic and classification primitives alone.
 
+Each check is registered with `_check`, which declares its domain
+description and defaults; `run_check` resolves a `Corpus` against them
+and reports empty domains and exhausted search budgets as inconclusive.
+
 The identity checks accept an injectable sum-set function so tests can
 corrupt the arithmetic and watch the check catch it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from itertools import product as iproduct
+from typing import Callable
 
 from .construct import (
     NoConstruction, canonical_iasi, line_graph_labeling, strongly_uniform_iasi,
     total_graph_labeling, two_uniform_iasi, weakly_uniform_iasi,
 )
 from .graph import (
-    Graph, complete_graph, cycle_graph, enumerate_graphs, induced_subgraph,
-    is_bipartite, path_graph, star_graph, write_graph6,
+    MAX_ENUMERATION_VERTICES, Graph, complete_graph, cycle_graph, enumerate_graphs,
+    induced_subgraph, is_bipartite, path_graph, star_graph, write_graph6,
 )
 from .intset import IntegerSet, compatibility_table, difference_set, sumset
 from .labeling import (
     SetLabeling, classify, labeling_to_json, strong_structure_check,
     weak_structure_check,
 )
-from .search import SearchConfig, check_binomial_bound, find_k_uniform, min_ground_set_size
+from .search import (
+    BudgetExceeded, SearchConfig, check_binomial_bound, find_k_uniform,
+    min_ground_set_size,
+)
 
 __all__ = ["Corpus", "TheoremCheck", "CHECK_IDS", "run_check", "run_suite"]
 
@@ -46,6 +53,23 @@ class Corpus:
     max_element: int | None = None
     max_label_size: int | None = None
     ks: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.max_vertices is not None and not (
+            1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES
+        ):
+            raise ValueError(
+                f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}, "
+                f"got {self.max_vertices}"
+            )
+        if self.max_element is not None and self.max_element < 0:
+            raise ValueError(f"max_element must be non-negative, got {self.max_element}")
+        if self.max_label_size is not None and self.max_label_size < 1:
+            raise ValueError(
+                f"max_label_size must be at least 1, got {self.max_label_size}"
+            )
+        if self.ks is not None and (not self.ks or min(self.ks) < 1):
+            raise ValueError(f"ks must be non-empty and positive, got {self.ks}")
 
 
 @dataclass
@@ -70,15 +94,83 @@ class TheoremCheck:
         }
 
 
-def _graph_corpus(corpus: Corpus | None, default_max_n: int, connected: bool):
-    if corpus and corpus.graphs is not None:
-        return list(corpus.graphs), f"{len(corpus.graphs)} supplied graphs"
-    max_n = corpus.max_vertices if corpus and corpus.max_vertices else default_max_n
-    out = []
-    for n in range(max_n + 1):
-        out.extend(enumerate_graphs(n, connected_only=connected, max_n=max(max_n, 6)))
+# ---------------------------------------------------------------------------
+# registration and domain resolution
+
+@dataclass(frozen=True)
+class _Domain:
+    """What a check runs over: the corpus overrides, else its defaults."""
+
+    graphs: list[Graph] | None
+    max_element: int | None
+    max_label_size: int | None
+    ks: tuple[int, ...] | None
+    config: SearchConfig
+    sumset_fn: Callable | None
+
+
+@dataclass(frozen=True)
+class _Spec:
+    run: Callable
+    corpus: str
+    family: Callable | None
+    defaults: Corpus
+    default_note: str
+
+
+_SPECS: dict[str, _Spec] = {}
+
+
+def _check(check_id: str, corpus: str, *, graphs=None, max_element=None,
+           max_label_size=None, ks=None, default_note=""):
+    """Register the decorated function as check_id; ids keep definition order.
+
+    corpus describes the domain.  It is formatted with the resolved
+    {graphs} description, {max_element}, {max_label_size} and the sorted
+    {ks}.  graphs is the default graph family, a function of the vertex
+    cap returning (graphs, description); checks without one ignore
+    Corpus.graphs.  default_note is appended when that family is used.
+    The function takes the TheoremCheck and the _Domain, reports
+    counterexamples with _fail, and returns the check's details.
+    """
+    defaults = Corpus(max_element=max_element, max_label_size=max_label_size, ks=ks)
+
+    def register(run):
+        _SPECS[check_id] = _Spec(run, corpus, graphs, defaults, default_note)
+        return run
+    return register
+
+
+def _enumerated(connected: bool):
     kind = "connected labeled graphs" if connected else "labeled graphs"
-    return out, f"all {kind} on up to {max_n} vertices"
+
+    def family(max_n: int | None):
+        max_n = 4 if max_n is None else max_n
+        graphs = [
+            g for n in range(max_n + 1)
+            for g in enumerate_graphs(n, connected_only=connected)
+        ]
+        return graphs, f"all {kind} on up to {max_n} vertices"
+    return family
+
+
+_ALL_GRAPHS = _enumerated(connected=False)
+_CONNECTED_GRAPHS = _enumerated(connected=True)
+
+
+def _sparse_graphs(max_n):
+    graphs = [g for n in range(5) for g in enumerate_graphs(n) if g.edge_count <= 4]
+    return graphs, "graphs with <= 4 vertices and <= 4 edges"
+
+
+def _ratio_graphs(max_n):
+    graphs = [path_graph(3), path_graph(4), star_graph(3), complete_graph(3),
+              cycle_graph(4)]
+    return graphs, "connected test graphs"
+
+
+def _path_graphs(max_n):
+    return [path_graph(n) for n in range(1, 6)], "path graphs on 1..5 vertices"
 
 
 def _subsets(max_element: int) -> list[tuple[int, ...]]:
@@ -87,6 +179,118 @@ def _subsets(max_element: int) -> list[tuple[int, ...]]:
         for mask in range(1, 1 << (max_element + 1))
     ]
 
+
+def _labels(d: _Domain) -> list[tuple[int, ...]]:
+    return [s for s in _subsets(d.max_element) if len(s) <= d.max_label_size]
+
+
+def _fail(check: TheoremCheck, record: dict, cap: int = 5) -> None:
+    check.verdict = "counterexample"
+    if len(check.counterexamples) < cap:
+        check.counterexamples.append(record)
+
+
+def _settled(cert):
+    """The certificate, unless its search ran out of budget: then unwind to
+    run_check, which reports the whole check inconclusive."""
+    if cert.kind == "budget_exceeded":
+        raise BudgetExceeded
+    return cert
+
+
+# ---------------------------------------------------------------------------
+# existence and heredity
+
+@_check("iasl-existence", "{graphs}", graphs=_ALL_GRAPHS)
+def _check_iasl_existence(check, d):
+    plain = 0
+    for g in d.graphs:
+        out = canonical_iasi(g)
+        if out.repaired or not out.report.is_iasl:
+            _fail(check, {"graph6": write_graph6(g), "repaired": out.repaired})
+        if not g.isolated_vertices():
+            plain += 1
+    return {"graphs": len(d.graphs), "without_isolated_vertices": plain}
+
+
+@_check("iasi-existence", "{graphs}", graphs=_ALL_GRAPHS)
+def _check_iasi_existence(check, d):
+    for g in d.graphs:
+        out = canonical_iasi(g)
+        if out.repaired or not (out.report.is_iasl and out.report.is_iasi):
+            _fail(check, {"graph6": write_graph6(g), "repaired": out.repaired})
+    return {"graphs": len(d.graphs)}
+
+
+def _sample_labelings(g: Graph):
+    """A small deterministic family of set-indexers to restrict."""
+    outs = [canonical_iasi(g).labeling]
+    two = two_uniform_iasi(g)
+    if not isinstance(two, NoConstruction):
+        outs.append(two.labeling)
+    outs.append(strongly_uniform_iasi(g, 4).labeling)
+    return outs
+
+
+@_check("subgraph-heredity", "{graphs}, several set-indexers each, all vertex subsets",
+        graphs=_ALL_GRAPHS)
+def _check_heredity(check, d):
+    cases = 0
+    for g in d.graphs:
+        for f in _sample_labelings(g):
+            base = classify(f)
+            if not (base.is_iasl and base.is_iasi):
+                continue
+            for mask in range(1, 1 << g.vertex_count):
+                keep = [v for v in g.vertices() if mask >> v & 1]
+                sub = induced_subgraph(g, keep)
+                rep = classify(SetLabeling(sub.graph, [f.labels[v] for v in sub.kept]))
+                cases += 1
+                if not (rep.is_iasl and rep.is_iasi):
+                    _fail(check, {
+                        "graph6": write_graph6(g),
+                        "labeling": labeling_to_json(f),
+                        "subset": keep,
+                    })
+    return {"restrictions_checked": cases}
+
+
+@_check("ground-set-lower-bound", "{graphs}", graphs=_CONNECTED_GRAPHS)
+def _check_ground_set_lower_bound(check, d):
+    for g in d.graphs:
+        size, cert = min_ground_set_size(g, d.config)
+        _settled(cert)
+        lower = g.vertex_count.bit_length()
+        if size is None or size < lower:
+            _fail(check, {
+                "graph6": write_graph6(g), "size": size, "lower_bound": lower,
+                "certificate": cert.to_json(),
+            })
+    return {"graphs": len(d.graphs)}
+
+
+@_check("uniform-ground-set-binomial",
+        "{graphs}, uniform set-indexers from the direct constructions",
+        graphs=_CONNECTED_GRAPHS)
+def _check_binomial(check, d):
+    cases = 0
+    for g in d.graphs:
+        if not g.vertex_count:
+            continue
+        for f in (canonical_iasi(g).labeling, strongly_uniform_iasi(g, 4).labeling):
+            res = check_binomial_bound(g, f)
+            cases += 1
+            if not res.holds:
+                _fail(check, {
+                    "graph6": write_graph6(g),
+                    "labeling": labeling_to_json(f),
+                    "result": res.to_json(),
+                })
+    return {"witnesses_checked": cases}
+
+
+# ---------------------------------------------------------------------------
+# sum-set laws
 
 def _sums_of(a, b):
     return frozenset(x + y for x in a for y in b)
@@ -120,169 +324,29 @@ def _count_polys(subsets) -> list[int]:
     return [sum(1 << 8 * x for x in s) for s in subsets]
 
 
-def _fail(check: TheoremCheck, record: dict, cap: int = 5) -> None:
-    check.verdict = "counterexample"
-    if len(check.counterexamples) < cap:
-        check.counterexamples.append(record)
+_ORDERED_PAIRS = "all ordered pairs of non-empty subsets of {{0..{max_element}}}"
+_PAIRS = "all pairs of non-empty subsets of {{0..{max_element}}}"
 
 
-def _empty(check: TheoremCheck) -> TheoremCheck:
-    check.verdict = "inconclusive"
-    check.reason = "empty domain"
-    return check
-
-
-# ---------------------------------------------------------------------------
-# existence and heredity
-
-def _check_iasl_existence(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=False)
-    check = TheoremCheck("iasl-existence", desc, config, "pass")
-    if not graphs:
-        return _empty(check)
-    plain = 0
-    for g in graphs:
-        out = canonical_iasi(g)
-        if out.repaired or not out.report.is_iasl:
-            _fail(check, {"graph6": write_graph6(g), "repaired": out.repaired})
-        if not g.isolated_vertices():
-            plain += 1
-    check.details = {"graphs": len(graphs), "without_isolated_vertices": plain}
-    return check
-
-
-def _check_iasi_existence(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=False)
-    check = TheoremCheck("iasi-existence", desc, config, "pass")
-    if not graphs:
-        return _empty(check)
-    for g in graphs:
-        out = canonical_iasi(g)
-        if out.repaired or not (out.report.is_iasl and out.report.is_iasi):
-            _fail(check, {"graph6": write_graph6(g), "repaired": out.repaired})
-    check.details = {"graphs": len(graphs)}
-    return check
-
-
-def _sample_labelings(g: Graph):
-    """A small deterministic family of set-indexers to restrict."""
-    outs = [canonical_iasi(g).labeling]
-    two = two_uniform_iasi(g)
-    if not isinstance(two, NoConstruction):
-        outs.append(two.labeling)
-    outs.append(strongly_uniform_iasi(g, 4).labeling)
-    return outs
-
-
-def _check_heredity(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=False)
-    check = TheoremCheck(
-        "subgraph-heredity", f"{desc}, several set-indexers each, all vertex subsets",
-        config, "pass",
-    )
-    if not graphs:
-        return _empty(check)
-    cases = 0
-    for g in graphs:
-        for f in _sample_labelings(g):
-            base = classify(f)
-            if not (base.is_iasl and base.is_iasi):
-                continue
-            for mask in range(1, 1 << g.vertex_count):
-                keep = [v for v in g.vertices() if mask >> v & 1]
-                sub = induced_subgraph(g, keep)
-                rep = classify(SetLabeling(sub.graph, [f.labels[v] for v in sub.kept]))
-                cases += 1
-                if not (rep.is_iasl and rep.is_iasi):
-                    _fail(check, {
-                        "graph6": write_graph6(g),
-                        "labeling": labeling_to_json(f),
-                        "subset": keep,
-                    })
-    check.details = {"restrictions_checked": cases}
-    return check
-
-
-def _check_ground_set_lower_bound(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=True)
-    check = TheoremCheck("ground-set-lower-bound", desc, config, "pass")
-    if not graphs:
-        return _empty(check)
-    for g in graphs:
-        size, cert = min_ground_set_size(g, config)
-        if cert.kind == "budget_exceeded":
-            check.verdict = "inconclusive"
-            check.reason = "budget"
-            return check
-        lower = g.vertex_count.bit_length()
-        if size is None or size < lower:
-            _fail(check, {
-                "graph6": write_graph6(g), "size": size, "lower_bound": lower,
-                "certificate": cert.to_json(),
-            })
-    check.details = {"graphs": len(graphs)}
-    return check
-
-
-def _check_binomial(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=True)
-    check = TheoremCheck(
-        "uniform-ground-set-binomial",
-        f"{desc}, uniform set-indexers from the direct constructions",
-        config, "pass",
-    )
-    if not graphs:
-        return _empty(check)
-    cases = 0
-    for g in graphs:
-        if not g.vertex_count:
-            continue
-        for f in (canonical_iasi(g).labeling, strongly_uniform_iasi(g, 4).labeling):
-            res = check_binomial_bound(g, f)
-            cases += 1
-            if not res.holds:
-                _fail(check, {
-                    "graph6": write_graph6(g),
-                    "labeling": labeling_to_json(f),
-                    "result": res.to_json(),
-                })
-    check.details = {"witnesses_checked": cases}
-    return check
-
-
-# ---------------------------------------------------------------------------
-# sum-set laws
-
-def _check_edge_size_bounds(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 8
-    subsets = _subsets(max_el)
-    check = TheoremCheck(
-        "edge-size-bounds",
-        f"all ordered pairs of non-empty subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
-    for a, sizes in zip(subsets, _size_rows(max_el, subsets, sumset_fn)):
+@_check("edge-size-bounds", _ORDERED_PAIRS, max_element=8)
+def _check_edge_size_bounds(check, d):
+    subsets = _subsets(d.max_element)
+    for a, sizes in zip(subsets, _size_rows(d.max_element, subsets, d.sumset_fn)):
         la = len(a)
         for b, size in zip(subsets, sizes):
             lb = len(b)
             if not (max(la, lb) <= size <= la * lb):
                 _fail(check, {"first": list(a), "second": list(b), "size": size})
-    check.details = {"pairs": len(subsets) ** 2}
-    return check
+    return {"pairs": len(subsets) ** 2}
 
 
-def _check_size_product_minus_neglect(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 8
-    subsets = _subsets(max_el)
-    check = TheoremCheck(
-        "edge-size-product-minus-neglect",
-        f"all ordered pairs of non-empty subsets of {{0..{max_el}}}, "
-        "neglecting number from the class partition",
-        config, "pass",
-    )
-    top = 2 * max_el + 1
+@_check("edge-size-product-minus-neglect",
+        _ORDERED_PAIRS + ", neglecting number from the class partition", max_element=8)
+def _check_size_product_minus_neglect(check, d):
+    subsets = _subsets(d.max_element)
+    top = 2 * d.max_element + 1
     polys = _count_polys(subsets)
-    rows = _size_rows(max_el, subsets, sumset_fn)
+    rows = _size_rows(d.max_element, subsets, d.sumset_fn)
     for a, pa, sizes in zip(subsets, polys, rows):
         la = len(a)
         for b, pb, size in zip(subsets, polys, sizes):
@@ -294,21 +358,16 @@ def _check_size_product_minus_neglect(corpus, config, sumset_fn):
                     "first": list(a), "second": list(b),
                     "size": size, "neglecting_number": r,
                 })
-    check.details = {"pairs": len(subsets) ** 2}
-    return check
+    return {"pairs": len(subsets) ** 2}
 
 
-def _check_saturated_class(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 5
-    subsets = _subsets(max_el)
-    check = TheoremCheck(
-        "saturated-class-size",
-        f"compatibility tables for all pairs of non-empty subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
+@_check("saturated-class-size",
+        "compatibility tables for " + _PAIRS, max_element=5)
+def _check_saturated_class(check, d):
+    subsets = _subsets(d.max_element)
     sets = [IntegerSet(s) for s in subsets]
     polys = _count_polys(subsets)
-    top = 2 * max_el + 1
+    top = 2 * d.max_element + 1
     sums = range(top)
     for a, sa, pa in zip(subsets, sets, polys):
         la = len(a)
@@ -330,58 +389,7 @@ def _check_saturated_class(corpus, config, sumset_fn):
             if not ok:
                 _fail(check, {"first": list(a), "second": list(b),
                               "index": table.index, "max_class": table.max_class_size})
-    check.details = {"pairs": len(subsets) ** 2}
-    return check
-
-
-def _check_max_sumset_iff_disjoint(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 8
-    subsets = _subsets(max_el)
-    diffs = [sum(1 << d for d in difference_set(IntegerSet(s))) for s in subsets]
-    check = TheoremCheck(
-        "max-sumset-iff-disjoint-differences",
-        f"all ordered pairs of non-empty subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
-    rows = _size_rows(max_el, subsets, sumset_fn)
-    for a, da, sizes in zip(subsets, diffs, rows):
-        la = len(a)
-        for b, db, size in zip(subsets, diffs, sizes):
-            full = size == la * len(b)
-            disjoint = not (da & db)
-            if full != disjoint:
-                _fail(check, {
-                    "first": list(a), "second": list(b),
-                    "full_product": full, "disjoint_differences": disjoint,
-                })
-    check.details = {"pairs": len(subsets) ** 2}
-    return check
-
-
-def _check_edge_size_is_class_count(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 5
-    subsets = _subsets(max_el)
-    check = TheoremCheck(
-        "edge-size-equals-class-count",
-        f"all pairs of non-empty subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
-    sets = [IntegerSet(s) for s in subsets]
-    for a, sa in zip(subsets, sets):
-        for b, sb in zip(subsets, sets):
-            if len(sumset(sa, sb)) != compatibility_table(sa, sb).index:
-                _fail(check, {"first": list(a), "second": list(b)})
-    # the additive variant |A|+|B| is not an identity; record why it is rejected
-    a, b = IntegerSet((0, 1)), IntegerSet((0, 1))
-    check.details = {
-        "pairs": len(subsets) ** 2,
-        "additive_variant_rejected": {
-            "first": [0, 1], "second": [0, 1],
-            "size": len(sumset(a, b)),
-            "cardinality_sum": len(a) + len(b),
-        },
-    }
-    return check
+    return {"pairs": len(subsets) ** 2}
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +401,12 @@ def _ratio_condition(m, ni, nj, ri, rj):
     return m * (ni - nj) == ri - rj
 
 
-def _check_adjacent_edge_ratio(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 4
-    max_size = corpus.max_label_size if corpus and corpus.max_label_size else 3
-    labels = [s for s in _subsets(max_el) if len(s) <= max_size]
-    check = TheoremCheck(
-        "adjacent-edge-ratio",
-        f"two edges at a shared vertex, labels over subsets of {{0..{max_el}}} "
-        f"of size <= {max_size}",
-        config, "pass",
-    )
+@_check("adjacent-edge-ratio",
+        "two edges at a shared vertex, labels over subsets of {{0..{max_element}}} "
+        "of size <= {max_label_size}",
+        max_element=4, max_label_size=3)
+def _check_adjacent_edge_ratio(check, d):
+    labels = _labels(d)
     degenerate = 0
     for mid in labels:
         m = len(mid)
@@ -420,24 +424,10 @@ def _check_adjacent_edge_ratio(corpus, config, sumset_fn):
                         "shared": list(mid), "first": list(a), "second": list(b),
                         "sizes": [sa, sb], "neglects": [ra, rb],
                     })
-    check.details = {
+    return {
         "triples": len(labels) ** 3,
         "equal-cardinality pairs routed to the equal-neglect variant": degenerate,
     }
-    return check
-
-
-_RATIO_GRAPHS = None
-
-
-def _ratio_graphs():
-    global _RATIO_GRAPHS
-    if _RATIO_GRAPHS is None:
-        _RATIO_GRAPHS = (
-            path_graph(3), path_graph(4), star_graph(3), complete_graph(3),
-            cycle_graph(4),
-        )
-    return _RATIO_GRAPHS
 
 
 def _adjacent_edge_pairs(g: Graph):
@@ -455,23 +445,16 @@ def _adjacent_edge_pairs(g: Graph):
     return out
 
 
-def _check_uniform_ratio_condition(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 4
-    max_size = corpus.max_label_size if corpus and corpus.max_label_size else 2
-    labels = [s for s in _subsets(max_el) if len(s) <= max_size]
-    graphs = list(corpus.graphs) if corpus and corpus.graphs is not None else list(_ratio_graphs())
-    check = TheoremCheck(
-        "uniform-iasl-ratio-condition",
-        f"connected test graphs, all labelings over subsets of {{0..{max_el}}} "
-        f"of size <= {max_size}",
-        config, "pass",
-    )
-    if not graphs:
-        return _empty(check)
+@_check("uniform-iasl-ratio-condition",
+        "connected test graphs, all labelings over subsets of {{0..{max_element}}} "
+        "of size <= {max_label_size}",
+        graphs=_ratio_graphs, max_element=4, max_label_size=2)
+def _check_uniform_ratio_condition(check, d):
+    labels = _labels(d)
     nlab = len(labels)
     sizes = [[len(_sums_of(a, b)) for b in labels] for a in labels]
     cases = 0
-    for g in graphs:
+    for g in d.graphs:
         pairs = _adjacent_edge_pairs(g)
         edges = g.edges
         for combo in iproduct(range(nlab), repeat=g.vertex_count):
@@ -492,26 +475,19 @@ def _check_uniform_ratio_condition(corpus, config, sumset_fn):
                     "labels": [list(labels[i]) for i in combo],
                     "uniform": uniform, "condition": holds,
                 })
-    check.details = {"labelings": cases}
-    return check
+    return {"labelings": cases}
 
 
-def _check_uniform_equal_neglect(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 4
-    graphs = list(corpus.graphs) if corpus and corpus.graphs is not None else list(_ratio_graphs())
-    check = TheoremCheck(
-        "uniform-vertices-equal-neglect",
-        f"connected test graphs, equal-size labelings over subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
-    if not graphs:
-        return _empty(check)
+@_check("uniform-vertices-equal-neglect",
+        "connected test graphs, equal-size labelings over subsets of {{0..{max_element}}}",
+        graphs=_ratio_graphs, max_element=4)
+def _check_uniform_equal_neglect(check, d):
     cases = 0
     for l in (1, 2):
-        labels = [s for s in _subsets(max_el) if len(s) == l]
+        labels = [s for s in _subsets(d.max_element) if len(s) == l]
         nlab = len(labels)
         sizes = [[len(_sums_of(a, b)) for b in labels] for a in labels]
-        for g in graphs:
+        for g in d.graphs:
             edges = g.edges
             for combo in iproduct(range(nlab), repeat=g.vertex_count):
                 cases += 1
@@ -524,38 +500,72 @@ def _check_uniform_equal_neglect(corpus, config, sumset_fn):
                         "graph6": write_graph6(g),
                         "labels": [list(labels[i]) for i in combo],
                     })
-    check.details = {"labelings": cases}
-    return check
+    return {"labelings": cases}
 
 
 # ---------------------------------------------------------------------------
-# weak / strong structure
+# weak / strong structure and uniform existence
 
-def _weak_strong_engine(check, corpus, lhs_table, rhs_table, lhs_fn, rhs_fn):
-    """Exhaustive per-labeling comparison, classify cross-checked on a stride."""
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 4
-    max_size = corpus.max_label_size if corpus and corpus.max_label_size else 2
-    labels = [s for s in _subsets(max_el) if len(s) <= max_size]
-    if corpus and corpus.graphs is not None:
-        graphs = list(corpus.graphs)
-        check.corpus = f"{len(graphs)} supplied graphs, "
-    else:
-        graphs = [
-            g for n in range(5) for g in enumerate_graphs(n) if g.edge_count <= 4
-        ]
-        check.corpus = "graphs with <= 4 vertices and <= 4 edges, "
-    check.corpus += (
-        f"all labelings over subsets of {{0..{max_el}}} of size <= {max_size}"
+_SEARCHED = "{graphs}; nonexistence bounded by the search config"
+_SEARCHED_KS = "{graphs}, k in {ks}; nonexistence bounded by the search config"
+_ALL_LABELINGS = (
+    "{graphs}, all labelings over subsets of {{0..{max_element}}} "
+    "of size <= {max_label_size}"
+)
+
+
+def _k_uniform_iasi(out, k) -> bool:
+    """Whether a construction built a set-indexer whose edge labels all
+    have k elements (or a graph without edges)."""
+    return (
+        not isinstance(out, NoConstruction)
+        and out.report.is_iasi
+        and (out.report.edge_uniform_k == k or out.report.vacuous_edges)
     )
-    if not graphs:
-        return _empty(check)
+
+
+@_check("two-uniform-iff-bipartite", _SEARCHED, graphs=_CONNECTED_GRAPHS)
+def _check_two_uniform_iff_bipartite(check, d):
+    built = searched = 0
+    for g in d.graphs:
+        if is_bipartite(g).bipartite:
+            out = two_uniform_iasi(g)
+            built += 1
+            if not _k_uniform_iasi(out, 2):
+                _fail(check, {"graph6": write_graph6(g), "direction": "construct"})
+        else:
+            cert = _settled(find_k_uniform(g, 2, d.config))
+            searched += 1
+            if cert.kind != "exhausted":
+                _fail(check, {
+                    "graph6": write_graph6(g), "direction": "search",
+                    "witness": labeling_to_json(cert.witness),
+                })
+    return {"constructed": built, "exhausted": searched}
+
+
+@_check("max-identity-iff-singleton-endpoint", _PAIRS, max_element=6)
+def _check_max_identity_iff_singleton(check, d):
+    subsets = _subsets(d.max_element)
+    for a, sizes in zip(subsets, _size_rows(d.max_element, subsets, d.sumset_fn)):
+        for b, size in zip(subsets, sizes):
+            hits_max = size == max(len(a), len(b))
+            singleton = min(len(a), len(b)) == 1
+            if hits_max != singleton:
+                _fail(check, {"first": list(a), "second": list(b)})
+    return {"pairs": len(subsets) ** 2}
+
+
+def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
+    """Exhaustive per-labeling comparison, classify cross-checked on a stride."""
+    labels = _labels(d)
     nlab = len(labels)
     lhs = [[lhs_table(a, b) for b in labels] for a in labels]
     rhs = [[rhs_table(a, b) for b in labels] for a in labels]
     isets = [IntegerSet(s) for s in labels]
     cases = 0
     cross = 0
-    for g in graphs:
+    for g in d.graphs:
         edges = g.edges
         for combo in iproduct(range(nlab), repeat=g.vertex_count):
             cases += 1
@@ -576,14 +586,14 @@ def _weak_strong_engine(check, corpus, lhs_table, rhs_table, lhs_fn, rhs_fn):
                         "note": "table path disagrees with classify path",
                     })
                 cross += 1
-    check.details = {"labelings": cases, "classify_crosschecks": cross}
-    return check
+    return {"labelings": cases, "classify_crosschecks": cross}
 
 
-def _check_weak_iff_singleton(corpus, config, sumset_fn):
-    check = TheoremCheck("weak-iff-singleton-endpoints", "", config, "pass")
+@_check("weak-iff-singleton-endpoints", _ALL_LABELINGS,
+        graphs=_sparse_graphs, max_element=4, max_label_size=2)
+def _check_weak_iff_singleton(check, d):
     return _weak_strong_engine(
-        check, corpus or Corpus(),
+        check, d,
         lambda a, b: len(_sums_of(a, b)) == max(len(a), len(b)),
         lambda a, b: min(len(a), len(b)) == 1,
         lambda f: classify(f).is_weak,
@@ -591,16 +601,58 @@ def _check_weak_iff_singleton(corpus, config, sumset_fn):
     )
 
 
-def _check_strong_iff_disjoint(corpus, config, sumset_fn):
-    check = TheoremCheck("strong-iff-disjoint-differences", "", config, "pass")
+@_check("weakly-uniform-iff-bipartite", _SEARCHED_KS,
+        graphs=_CONNECTED_GRAPHS, ks=(2, 3))
+def _check_weakly_uniform_iff_bipartite(check, d):
+    for g in d.graphs:
+        for k in d.ks:
+            if is_bipartite(g).bipartite:
+                out = weakly_uniform_iasi(g, k)
+                if not (_k_uniform_iasi(out, k) and out.report.is_weak):
+                    _fail(check, {"graph6": write_graph6(g), "k": k,
+                                  "direction": "construct"})
+            else:
+                cert = _settled(find_k_uniform(g, k, d.config, mode="weak"))
+                if cert.kind != "exhausted":
+                    _fail(check, {
+                        "graph6": write_graph6(g), "k": k, "direction": "search",
+                        "witness": labeling_to_json(cert.witness),
+                    })
+    return {
+        "graphs": len(d.graphs),
+        "note": "k=1 excluded: all-singleton labelings are weakly 1-uniform "
+                "on any graph, so the bipartite equivalence starts at k=2",
+    }
 
+
+@_check("max-sumset-iff-disjoint-differences", _ORDERED_PAIRS, max_element=8)
+def _check_max_sumset_iff_disjoint(check, d):
+    subsets = _subsets(d.max_element)
+    diffs = [sum(1 << e for e in difference_set(IntegerSet(s))) for s in subsets]
+    rows = _size_rows(d.max_element, subsets, d.sumset_fn)
+    for a, da, sizes in zip(subsets, diffs, rows):
+        la = len(a)
+        for b, db, size in zip(subsets, diffs, sizes):
+            full = size == la * len(b)
+            disjoint = not (da & db)
+            if full != disjoint:
+                _fail(check, {
+                    "first": list(a), "second": list(b),
+                    "full_product": full, "disjoint_differences": disjoint,
+                })
+    return {"pairs": len(subsets) ** 2}
+
+
+@_check("strong-iff-disjoint-differences", _ALL_LABELINGS,
+        graphs=_sparse_graphs, max_element=4, max_label_size=2)
+def _check_strong_iff_disjoint(check, d):
     def disj(a, b):
         da = frozenset(x - y for x in a for y in a if x > y)
         db = frozenset(x - y for x in b for y in b if x > y)
         return not (da & db)
 
     return _weak_strong_engine(
-        check, corpus or Corpus(),
+        check, d,
         lambda a, b: len(_sums_of(a, b)) == len(a) * len(b),
         disj,
         lambda f: classify(f).is_strong,
@@ -608,135 +660,17 @@ def _check_strong_iff_disjoint(corpus, config, sumset_fn):
     )
 
 
-def _check_max_identity_iff_singleton(corpus, config, sumset_fn):
-    max_el = corpus.max_element if corpus and corpus.max_element is not None else 6
-    subsets = _subsets(max_el)
-    check = TheoremCheck(
-        "max-identity-iff-singleton-endpoint",
-        f"all pairs of non-empty subsets of {{0..{max_el}}}",
-        config, "pass",
-    )
-    for a, sizes in zip(subsets, _size_rows(max_el, subsets, sumset_fn)):
-        for b, size in zip(subsets, sizes):
-            hits_max = size == max(len(a), len(b))
-            singleton = min(len(a), len(b)) == 1
-            if hits_max != singleton:
-                _fail(check, {"first": list(a), "second": list(b)})
-    check.details = {"pairs": len(subsets) ** 2}
-    return check
-
-
-# ---------------------------------------------------------------------------
-# uniform existence equivalences
-
-def _search_config(config):
-    if config is not None:
-        return config
-    return SearchConfig(element_bound=6, size_bound=3)
-
-
-def _check_two_uniform_iff_bipartite(corpus, config, sumset_fn):
-    cfg = _search_config(config)
-    graphs, desc = _graph_corpus(corpus, 4, connected=True)
-    check = TheoremCheck(
-        "two-uniform-iff-bipartite",
-        f"{desc}; nonexistence bounded by the search config", cfg, "pass",
-    )
-    if not graphs:
-        return _empty(check)
-    built = searched = 0
-    for g in graphs:
-        if is_bipartite(g).bipartite:
-            out = two_uniform_iasi(g)
-            built += 1
-            ok = (
-                not isinstance(out, NoConstruction)
-                and out.report.is_iasi
-                and (out.report.edge_uniform_k == 2 or out.report.vacuous_edges)
-            )
-            if not ok:
-                _fail(check, {"graph6": write_graph6(g), "direction": "construct"})
-        else:
-            cert = find_k_uniform(g, 2, cfg)
-            searched += 1
-            if cert.kind == "budget_exceeded":
-                check.verdict = "inconclusive"
-                check.reason = "budget"
-                return check
-            if cert.kind != "exhausted":
-                _fail(check, {
-                    "graph6": write_graph6(g), "direction": "search",
-                    "witness": labeling_to_json(cert.witness),
-                })
-    check.details = {"constructed": built, "exhausted": searched}
-    return check
-
-
-def _check_weakly_uniform_iff_bipartite(corpus, config, sumset_fn):
-    cfg = _search_config(config)
-    graphs, desc = _graph_corpus(corpus, 4, connected=True)
-    ks = corpus.ks if corpus and corpus.ks else (2, 3)
-    check = TheoremCheck(
-        "weakly-uniform-iff-bipartite",
-        f"{desc}, k in {sorted(ks)}; nonexistence bounded by the search config",
-        cfg, "pass",
-    )
-    if not graphs:
-        return _empty(check)
-    for g in graphs:
-        for k in ks:
-            if is_bipartite(g).bipartite:
-                out = weakly_uniform_iasi(g, k)
-                ok = (
-                    not isinstance(out, NoConstruction)
-                    and out.report.is_iasi and out.report.is_weak
-                    and (out.report.edge_uniform_k == k or out.report.vacuous_edges)
-                )
-                if not ok:
-                    _fail(check, {"graph6": write_graph6(g), "k": k,
-                                  "direction": "construct"})
-            else:
-                cert = find_k_uniform(g, k, cfg, mode="weak")
-                if cert.kind == "budget_exceeded":
-                    check.verdict = "inconclusive"
-                    check.reason = "budget"
-                    return check
-                if cert.kind != "exhausted":
-                    _fail(check, {
-                        "graph6": write_graph6(g), "k": k, "direction": "search",
-                        "witness": labeling_to_json(cert.witness),
-                    })
-    check.details = {
-        "graphs": len(graphs),
-        "note": "k=1 excluded: all-singleton labelings are weakly 1-uniform "
-                "on any graph, so the bipartite equivalence starts at k=2",
-    }
-    return check
-
-
-def _check_strongly_uniform(corpus, config, sumset_fn):
-    cfg = _search_config(config)
-    graphs, desc = _graph_corpus(corpus, 4, connected=True)
-    ks = corpus.ks if corpus and corpus.ks else (1, 2, 3, 4)
-    check = TheoremCheck(
-        "strongly-uniform-iff-bipartite-or-square",
-        f"{desc}, k in {sorted(ks)}; nonexistence bounded by the search config",
-        cfg, "pass",
-    )
-    if not graphs:
-        return _empty(check)
+@_check("strongly-uniform-iff-bipartite-or-square", _SEARCHED_KS,
+        graphs=_CONNECTED_GRAPHS, ks=(1, 2, 3, 4))
+def _check_strongly_uniform(check, d):
     branches = {"completely-uniform": 0, "bipartite": 0, "none": 0}
-    for g in graphs:
-        for k in ks:
+    for g in d.graphs:
+        for k in d.ks:
             square = round(k ** 0.5) ** 2 == k
             bip = is_bipartite(g).bipartite
             out = strongly_uniform_iasi(g, k)
             if square or bip:
-                ok = (
-                    not isinstance(out, NoConstruction)
-                    and out.report.is_iasi and out.report.is_strong
-                    and (out.report.edge_uniform_k == k or out.report.vacuous_edges)
-                )
+                ok = _k_uniform_iasi(out, k) and out.report.is_strong
                 if square and ok and g.edge_count:
                     ok = out.report.completely_uniform == (k, round(k ** 0.5))
                 if not ok:
@@ -749,11 +683,7 @@ def _check_strongly_uniform(corpus, config, sumset_fn):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct",
                                   "note": "construction should have refused"})
-                cert = find_k_uniform(g, k, cfg, mode="strong")
-                if cert.kind == "budget_exceeded":
-                    check.verdict = "inconclusive"
-                    check.reason = "budget"
-                    return check
+                cert = _settled(find_k_uniform(g, k, d.config, mode="strong"))
                 if cert.kind != "exhausted":
                     _fail(check, {
                         "graph6": write_graph6(g), "k": k, "direction": "search",
@@ -761,8 +691,7 @@ def _check_strongly_uniform(corpus, config, sumset_fn):
                     })
                 else:
                     branches["none"] += 1
-    check.details = {"branches": branches}
-    return check
+    return {"branches": branches}
 
 
 # ---------------------------------------------------------------------------
@@ -776,94 +705,73 @@ def _raw_labels(out) -> list[list[int]]:
     return labels
 
 
-def _check_line_graph_formula(corpus, config, sumset_fn):
-    graphs, desc = _graph_corpus(corpus, 4, connected=False)
-    check = TheoremCheck(
-        "line-graph-formula-iasi",
-        f"{desc}, singleton powers-of-two labelings; "
+def _transfer_formula(check, graphs, transfer, derived_key):
+    """Transfer the canonical labeling of each graph to a derived graph and
+    record every graph whose formula labels are not a set-indexer."""
+    for g in graphs:
+        f = canonical_iasi(g).labeling
+        out = transfer(f)
+        rep = out.formula_report
+        if not (rep.is_iasl and rep.is_iasi):
+            _fail(check, {
+                "graph6": write_graph6(g),
+                "labeling": labeling_to_json(f),
+                derived_key: write_graph6(out.labeling.graph),
+                "formula_labels": _raw_labels(out),
+                "formula_violations": [
+                    {"kind": v.kind, "where": repr(v.where)} for v in rep.violations
+                ],
+            })
+    return {"graphs": len(graphs)}
+
+
+@_check("line-graph-formula-iasi",
+        "{graphs}, singleton powers-of-two labelings; "
         "wider corpora are known to break the transfer formula",
-        config, "pass",
-    )
-    if not graphs:
-        return _empty(check)
-    for g in graphs:
-        f = canonical_iasi(g).labeling
-        out = line_graph_labeling(f)
-        rep = out.formula_report
-        if not (rep.is_iasl and rep.is_iasi):
-            _fail(check, {
-                "graph6": write_graph6(g),
-                "labeling": labeling_to_json(f),
-                "line_graph6": write_graph6(out.labeling.graph),
-                "formula_labels": _raw_labels(out),
-                "formula_violations": [
-                    {"kind": v.kind, "where": repr(v.where)} for v in rep.violations
-                ],
-            })
-    check.details = {"graphs": len(graphs)}
-    return check
+        graphs=_ALL_GRAPHS)
+def _check_line_graph_formula(check, d):
+    return _transfer_formula(check, d.graphs, line_graph_labeling, "line_graph6")
 
 
-def _check_total_graph_formula(corpus, config, sumset_fn):
-    if corpus and corpus.graphs is not None:
-        graphs = list(corpus.graphs)
-        desc = f"{len(graphs)} supplied graphs, singleton powers-of-two labelings"
-    else:
-        graphs = [path_graph(n) for n in range(1, 6)]
-        desc = (
-            "path graphs on 1..5 vertices, singleton powers-of-two labelings "
-            "(the transfer formula is injective there; triangles, 4-cycles and "
-            "stars are recorded counterexamples)"
-        )
-    check = TheoremCheck("total-graph-formula-iasi", desc, config, "pass")
-    if not graphs:
-        return _empty(check)
-    for g in graphs:
-        f = canonical_iasi(g).labeling
-        out = total_graph_labeling(f)
-        rep = out.formula_report
-        if not (rep.is_iasl and rep.is_iasi):
-            _fail(check, {
-                "graph6": write_graph6(g),
-                "labeling": labeling_to_json(f),
-                "total_graph6": write_graph6(out.labeling.graph),
-                "formula_labels": _raw_labels(out),
-                "formula_violations": [
-                    {"kind": v.kind, "where": repr(v.where)} for v in rep.violations
-                ],
-            })
-    check.details = {"graphs": len(graphs)}
-    return check
+@_check("total-graph-formula-iasi", "{graphs}, singleton powers-of-two labelings",
+        graphs=_path_graphs,
+        default_note=" (the transfer formula is injective there; triangles, "
+                     "4-cycles and stars are recorded counterexamples)")
+def _check_total_graph_formula(check, d):
+    return _transfer_formula(check, d.graphs, total_graph_labeling, "total_graph6")
 
 
 # ---------------------------------------------------------------------------
-# registry
+# sum-set identity
 
-_REGISTRY = {
-    "iasl-existence": _check_iasl_existence,
-    "iasi-existence": _check_iasi_existence,
-    "subgraph-heredity": _check_heredity,
-    "ground-set-lower-bound": _check_ground_set_lower_bound,
-    "uniform-ground-set-binomial": _check_binomial,
-    "edge-size-bounds": _check_edge_size_bounds,
-    "edge-size-product-minus-neglect": _check_size_product_minus_neglect,
-    "saturated-class-size": _check_saturated_class,
-    "adjacent-edge-ratio": _check_adjacent_edge_ratio,
-    "uniform-iasl-ratio-condition": _check_uniform_ratio_condition,
-    "uniform-vertices-equal-neglect": _check_uniform_equal_neglect,
-    "two-uniform-iff-bipartite": _check_two_uniform_iff_bipartite,
-    "max-identity-iff-singleton-endpoint": _check_max_identity_iff_singleton,
-    "weak-iff-singleton-endpoints": _check_weak_iff_singleton,
-    "weakly-uniform-iff-bipartite": _check_weakly_uniform_iff_bipartite,
-    "max-sumset-iff-disjoint-differences": _check_max_sumset_iff_disjoint,
-    "strong-iff-disjoint-differences": _check_strong_iff_disjoint,
-    "strongly-uniform-iff-bipartite-or-square": _check_strongly_uniform,
-    "line-graph-formula-iasi": _check_line_graph_formula,
-    "total-graph-formula-iasi": _check_total_graph_formula,
-    "edge-size-equals-class-count": _check_edge_size_is_class_count,
-}
+@_check("edge-size-equals-class-count", _PAIRS, max_element=5)
+def _check_edge_size_is_class_count(check, d):
+    subsets = _subsets(d.max_element)
+    sets = [IntegerSet(s) for s in subsets]
+    for a, sa in zip(subsets, sets):
+        for b, sb in zip(subsets, sets):
+            if len(sumset(sa, sb)) != compatibility_table(sa, sb).index:
+                _fail(check, {"first": list(a), "second": list(b)})
+    # the additive variant |A|+|B| is not an identity; record why it is rejected
+    a, b = IntegerSet((0, 1)), IntegerSet((0, 1))
+    return {
+        "pairs": len(subsets) ** 2,
+        "additive_variant_rejected": {
+            "first": [0, 1], "second": [0, 1],
+            "size": len(sumset(a, b)),
+            "cardinality_sum": len(a) + len(b),
+        },
+    }
 
-CHECK_IDS = tuple(_REGISTRY)
+
+# ---------------------------------------------------------------------------
+# running
+
+CHECK_IDS = tuple(_SPECS)
+
+
+def _given(value, default):
+    return default if value is None else value
 
 
 def run_check(
@@ -873,10 +781,42 @@ def run_check(
     sumset_fn=None,
 ) -> TheoremCheck:
     """Run one registered check; unknown ids raise KeyError."""
-    if check_id not in _REGISTRY:
+    if check_id not in _SPECS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    cfg = config if config is not None else SearchConfig()
-    return _REGISTRY[check_id](corpus, cfg, sumset_fn)
+    spec = _SPECS[check_id]
+    corpus = corpus or Corpus()
+    graphs = described = None
+    note = ""
+    if spec.family is not None:
+        if corpus.graphs is not None:
+            graphs = list(corpus.graphs)
+            described = f"{len(graphs)} supplied graphs"
+        else:
+            graphs, described = spec.family(corpus.max_vertices)
+            note = spec.default_note
+    d = _Domain(
+        graphs,
+        _given(corpus.max_element, spec.defaults.max_element),
+        _given(corpus.max_label_size, spec.defaults.max_label_size),
+        _given(corpus.ks, spec.defaults.ks),
+        config if config is not None else SearchConfig(),
+        sumset_fn,
+    )
+    description = spec.corpus.format(
+        graphs=described, max_element=d.max_element,
+        max_label_size=d.max_label_size, ks=sorted(d.ks or ()),
+    )
+    check = TheoremCheck(check_id, description + note, d.config, "pass")
+    if graphs is not None and not graphs:
+        check.verdict = "inconclusive"
+        check.reason = "empty domain"
+        return check
+    try:
+        check.details = spec.run(check, d)
+    except BudgetExceeded:
+        check.verdict = "inconclusive"
+        check.reason = "budget"
+    return check
 
 
 @dataclass
@@ -901,12 +841,6 @@ class SuiteResult:
 def run_suite(
     corpus: Corpus | None = None,
     config: SearchConfig | None = None,
-    parallel: bool = False,
 ) -> SuiteResult:
     """Run every registered check; results in registry order."""
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            checks = list(pool.map(lambda i: run_check(i, corpus, config), CHECK_IDS))
-    else:
-        checks = [run_check(i, corpus, config) for i in CHECK_IDS]
-    return SuiteResult(checks)
+    return SuiteResult([run_check(i, corpus, config) for i in CHECK_IDS])

@@ -10,7 +10,6 @@ scoped to; they never claim more.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -32,14 +31,12 @@ class SearchConfig:
     element_bound: int = 8
     size_bound: int = 4
     time_budget: float = 60.0
-    parallel: bool = False
 
     def to_json(self) -> dict:
         return {
             "element_bound": self.element_bound,
             "size_bound": self.size_bound,
             "time_budget": self.time_budget,
-            "parallel": self.parallel,
         }
 
 
@@ -188,23 +185,11 @@ def min_ground_set_size(
 
 
 def _scan_ground_sets(g: Graph, m: int, config: SearchConfig, deadline: _Deadline):
-    universe = range(config.element_bound + 1)
-    ground_sets = list(combinations(universe, m))
-    if not config.parallel or len(ground_sets) < 4:
-        for ground in ground_sets:
-            deadline.check()
-            labels = _try_ground_set(g, ground, deadline)
-            if labels is not None:
-                return SetLabeling(g, labels), ground
-        return None
-    # canonical merge: results considered strictly in ground-set order
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = pool.map(
-            lambda ground: (_try_ground_set(g, ground, deadline), ground), ground_sets
-        )
-        for labels, ground in results:
-            if labels is not None:
-                return SetLabeling(g, labels), ground
+    for ground in combinations(range(config.element_bound + 1), m):
+        deadline.check()
+        labels = _try_ground_set(g, ground, deadline)
+        if labels is not None:
+            return SetLabeling(g, labels), ground
     return None
 
 

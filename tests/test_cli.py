@@ -105,6 +105,17 @@ class TestConstruct:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("kind, k", [
+        ("weakly-uniform", "1"),
+        ("strongly-uniform", "0"),
+    ])
+    def test_library_value_error_exits_two(self, kind, k):
+        code, out, err = run("construct", "--kind", kind, "--graph", "Bw", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: k must be")
+        assert "Traceback" not in err
+
     def test_weakly_uniform(self):
         code, out, _ = run("construct", "--kind", "weakly-uniform",
                            "--graph", "Cl", "--k", "3")
@@ -167,6 +178,18 @@ class TestOracleCommand:
         code, _, err = run("oracle", "run", "bogus-check")
         assert code == 2
         assert "oracle list" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("edge-size-bounds", "--max-element", "-1"),
+        ("iasl-existence", "--max-vertices", "9"),
+        ("iasl-existence", "--max-vertices", "0"),
+        ("all", "--max-vertices", "7"),
+    ])
+    def test_meaningless_corpus_exits_two(self, argv):
+        code, out, err = run("oracle", "run", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: max_")
 
     def test_corpus_override(self):
         code, out, _ = run("oracle", "run", "two-uniform-iff-bipartite",
@@ -237,6 +260,18 @@ class TestBatch:
         assert "size" in lines[0]
         assert "line 2" in lines[1]["error"]
         assert "size" in lines[2]
+
+    def test_library_value_error_reported_in_place(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nBw\n")
+        code, out, _ = run("construct", "--kind", "weakly-uniform",
+                           "--graph", str(path), "--k", "1")
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert code == 2
+        assert [l["error"] for l in lines] == [
+            "line 1: k must be at least 2, got 1",
+            "line 2: k must be at least 2, got 1",
+        ]
 
     def test_parallel_is_byte_identical(self, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -7,6 +7,7 @@ import pytest
 from iasltools.graph import (
     complete_graph, cycle_graph, parse_graph6, path_graph, star_graph,
 )
+from iasltools import oracle
 from iasltools.intset import IntegerSet, sumset
 from iasltools.labeling import SetLabeling, classify
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
@@ -26,9 +27,30 @@ SMALL = Corpus(max_vertices=3, max_element=3)
 
 class TestRegistry:
     def test_count_and_order_stable(self):
-        assert len(CHECK_IDS) == 21
-        assert len(set(CHECK_IDS)) == 21
-        assert CHECK_IDS[0] == "iasl-existence"
+        # `oracle list` and `oracle run all` print in this order
+        assert CHECK_IDS == (
+            "iasl-existence",
+            "iasi-existence",
+            "subgraph-heredity",
+            "ground-set-lower-bound",
+            "uniform-ground-set-binomial",
+            "edge-size-bounds",
+            "edge-size-product-minus-neglect",
+            "saturated-class-size",
+            "adjacent-edge-ratio",
+            "uniform-iasl-ratio-condition",
+            "uniform-vertices-equal-neglect",
+            "two-uniform-iff-bipartite",
+            "max-identity-iff-singleton-endpoint",
+            "weak-iff-singleton-endpoints",
+            "weakly-uniform-iff-bipartite",
+            "max-sumset-iff-disjoint-differences",
+            "strong-iff-disjoint-differences",
+            "strongly-uniform-iff-bipartite-or-square",
+            "line-graph-formula-iasi",
+            "total-graph-formula-iasi",
+            "edge-size-equals-class-count",
+        )
 
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="unknown check"):
@@ -53,11 +75,48 @@ class TestRegistry:
         assert "3" in check.corpus
 
 
+class TestCorpus:
+    @pytest.mark.parametrize("field, value", [
+        ("max_element", -1),
+        ("max_vertices", 0),
+        ("max_vertices", 7),
+        ("max_label_size", 0),
+        ("ks", ()),
+        ("ks", (2, 0)),
+    ])
+    def test_meaningless_domains_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Corpus(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        Corpus(max_element=0, max_vertices=1, max_label_size=1, ks=(1,))
+        Corpus(max_vertices=6)
+
+    def test_only_none_means_default(self):
+        check = run_check("edge-size-bounds", corpus=Corpus(max_element=0))
+        assert check.verdict == "pass"
+        assert "{0..0}" in check.corpus
+        assert check.details == {"pairs": 1}
+
+
 class TestVerdicts:
     def test_empty_domain_is_inconclusive(self):
         check = run_check("iasi-existence", corpus=Corpus(graphs=()))
         assert check.verdict == "inconclusive"
         assert check.reason == "empty domain"
+
+    def test_empty_graph_corpus_leaves_arithmetic_checks_alone(self):
+        suite = run_suite(Corpus(graphs=(), max_element=2))
+        verdicts = {c.check_id: (c.verdict, c.reason) for c in suite.checks}
+        graph_free = {
+            "edge-size-bounds", "edge-size-product-minus-neglect",
+            "saturated-class-size", "adjacent-edge-ratio",
+            "max-identity-iff-singleton-endpoint",
+            "max-sumset-iff-disjoint-differences", "edge-size-equals-class-count",
+        }
+        for cid, verdict in verdicts.items():
+            expected = ("pass", "") if cid in graph_free else ("inconclusive", "empty domain")
+            assert verdict == expected, cid
 
     def test_budget_is_inconclusive(self):
         check = run_check(
@@ -67,6 +126,21 @@ class TestVerdicts:
         )
         assert check.verdict == "inconclusive"
         assert check.reason == "budget"
+
+    @pytest.mark.parametrize("cid", [
+        "two-uniform-iff-bipartite",
+        "weakly-uniform-iff-bipartite",
+        "strongly-uniform-iff-bipartite-or-square",
+    ])
+    def test_uniform_search_budget_is_inconclusive(self, cid):
+        check = run_check(
+            cid,
+            corpus=Corpus(graphs=(complete_graph(4),), ks=(2,)),
+            config=SearchConfig(time_budget=0.0),
+        )
+        assert check.verdict == "inconclusive"
+        assert check.reason == "budget"
+        assert check.details == {}
 
     def test_counterexample_caps_but_counts(self):
         graphs = tuple(
@@ -165,16 +239,48 @@ class TestSpecificChecks:
             assert check.details["classify_crosschecks"] > 0
 
 
+class TestTracedNames:
+    """The checks look these names up in the oracle module when they run,
+    so a wrapper put there sees every call."""
+
+    @pytest.mark.parametrize("name, cid, corpus", [
+        ("classify", "subgraph-heredity", Corpus(max_vertices=2)),
+        ("weak_structure_check", "weak-iff-singleton-endpoints",
+         Corpus(graphs=(path_graph(3),), max_element=3)),
+        ("strong_structure_check", "strong-iff-disjoint-differences",
+         Corpus(graphs=(path_graph(3),), max_element=3)),
+        ("find_k_uniform", "two-uniform-iff-bipartite", Corpus(max_vertices=3)),
+        ("min_ground_set_size", "ground-set-lower-bound", Corpus(max_vertices=2)),
+        ("enumerate_graphs", "iasl-existence", Corpus(max_vertices=2)),
+        ("sumset", "saturated-class-size", Corpus(max_element=1)),
+        ("compatibility_table", "edge-size-equals-class-count", Corpus(max_element=1)),
+        ("difference_set", "max-sumset-iff-disjoint-differences", Corpus(max_element=1)),
+        ("IntegerSet", "saturated-class-size", Corpus(max_element=1)),
+    ])
+    def test_wrapper_in_module_namespace_is_called(self, monkeypatch, name, cid, corpus):
+        original = getattr(oracle, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+        check = run_check(cid, corpus=corpus)
+        assert check.verdict == "pass"
+        assert calls
+
+
 class TestSuite:
     def test_shrunken_suite_passes_and_is_deterministic(self):
         corpus = Corpus(graphs=(complete_graph(2), path_graph(3), path_graph(4)),
                         max_element=3, max_label_size=2, ks=(2,))
-        serial = run_suite(corpus)
-        parallel = run_suite(corpus, parallel=True)
-        assert serial.verdict == "pass"
-        assert [c.check_id for c in serial.checks] == list(CHECK_IDS)
-        assert json.dumps(serial.to_json(), sort_keys=True) == \
-               json.dumps(parallel.to_json(), sort_keys=True)
+        first = run_suite(corpus)
+        second = run_suite(corpus)
+        assert first.verdict == "pass"
+        assert [c.check_id for c in first.checks] == list(CHECK_IDS)
+        assert json.dumps(first.to_json(), sort_keys=True) == \
+               json.dumps(second.to_json(), sort_keys=True)
 
     def test_suite_verdict_prefers_counterexample(self):
         corpus = Corpus(graphs=(complete_graph(3),), ks=(2,))

@@ -20,7 +20,6 @@ class TestConfig:
         cfg = SearchConfig()
         assert cfg.to_json() == {
             "element_bound": 8, "size_bound": 4, "time_budget": 60.0,
-            "parallel": False,
         }
 
     def test_frozen(self):
@@ -72,14 +71,6 @@ class TestMinGroundSet:
         assert cert.kind == "budget_exceeded"
         # byte-stable: no wall-clock readings inside
         assert "second" not in cert.description
-
-    def test_parallel_matches_serial(self):
-        for g in (complete_graph(4), cycle_graph(5)):
-            s1, c1 = min_ground_set_size(g, SearchConfig())
-            s2, c2 = min_ground_set_size(g, SearchConfig(parallel=True))
-            assert s1 == s2
-            assert [l.to_list() for l in c1.witness.labels] == \
-                   [l.to_list() for l in c2.witness.labels]
 
     def test_certificate_json(self):
         _, cert = min_ground_set_size(complete_graph(2))
