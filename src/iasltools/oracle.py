@@ -445,9 +445,13 @@ def _adjacent_edge_pairs(g: Graph):
     return out
 
 
-@_check("uniform-iasl-ratio-condition",
-        "connected test graphs, all labelings over subsets of {{0..{max_element}}} "
-        "of size <= {max_label_size}",
+_ALL_LABELINGS = (
+    "{graphs}, all labelings over subsets of {{0..{max_element}}} "
+    "of size <= {max_label_size}"
+)
+
+
+@_check("uniform-iasl-ratio-condition", _ALL_LABELINGS,
         graphs=_ratio_graphs, max_element=4, max_label_size=2)
 def _check_uniform_ratio_condition(check, d):
     labels = _labels(d)
@@ -479,7 +483,7 @@ def _check_uniform_ratio_condition(check, d):
 
 
 @_check("uniform-vertices-equal-neglect",
-        "connected test graphs, equal-size labelings over subsets of {{0..{max_element}}}",
+        "{graphs}, equal-size labelings over subsets of {{0..{max_element}}}",
         graphs=_ratio_graphs, max_element=4)
 def _check_uniform_equal_neglect(check, d):
     cases = 0
@@ -508,10 +512,6 @@ def _check_uniform_equal_neglect(check, d):
 
 _SEARCHED = "{graphs}; nonexistence bounded by the search config"
 _SEARCHED_KS = "{graphs}, k in {ks}; nonexistence bounded by the search config"
-_ALL_LABELINGS = (
-    "{graphs}, all labelings over subsets of {{0..{max_element}}} "
-    "of size <= {max_label_size}"
-)
 
 
 def _k_uniform_iasi(out, k) -> bool:
@@ -604,8 +604,12 @@ def _check_weak_iff_singleton(check, d):
 @_check("weakly-uniform-iff-bipartite", _SEARCHED_KS,
         graphs=_CONNECTED_GRAPHS, ks=(2, 3))
 def _check_weakly_uniform_iff_bipartite(check, d):
+    ks = [k for k in d.ks if k >= 2]
+    if not ks:
+        check.verdict = "inconclusive"
+        check.reason = "empty domain"
     for g in d.graphs:
-        for k in d.ks:
+        for k in ks:
             if is_bipartite(g).bipartite:
                 out = weakly_uniform_iasi(g, k)
                 if not (_k_uniform_iasi(out, k) and out.report.is_weak):

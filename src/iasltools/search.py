@@ -1,10 +1,13 @@
 """Bounded exact search for small witnesses and their absence.
 
-Ground sets and candidate labels are enumerated in a fixed canonical
-order, so the first witness is deterministic for a given config and
-"exhausted" verdicts really mean the whole bounded space was visited.
-Certificates carry the config and a description of the space they are
-scoped to; they never claim more.
+Both searches ask for a set-indexer over a finite label domain and share
+one backtracking engine: `min_ground_set_size` over the subsets of each
+candidate ground set, `find_k_uniform` over the bounded label universe
+with a per-pair allow-list.  Ground sets and candidate labels are
+enumerated in a fixed canonical order, so the first witness is
+deterministic for a given config and "exhausted" verdicts really mean
+the whole bounded space was visited.  Certificates carry the config and
+a description of the space they are scoped to; they never claim more.
 """
 
 from __future__ import annotations
@@ -26,11 +29,42 @@ __all__ = [
 ]
 
 
+MAX_ELEMENT_BOUND = 12
+MAX_LABELS = 1023
+
+
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search bounds: label elements from {0..element_bound}, k-uniform
+    labels of at most size_bound elements, time_budget wall-clock seconds.
+
+    Rejected with ValueError: an element_bound outside
+    0..MAX_ELEMENT_BOUND, a size_bound below 1, a negative or NaN
+    time_budget, and bounds whose label universe (the non-empty subsets
+    of {0..element_bound} of size <= size_bound) has more than MAX_LABELS
+    members, since the k-uniform search tabulates every pair of them.
+    """
+
     element_bound: int = 8
     size_bound: int = 4
     time_budget: float = 60.0
+
+    def __post_init__(self):
+        b, s = self.element_bound, self.size_bound
+        if not 0 <= b <= MAX_ELEMENT_BOUND:
+            raise ValueError(f"element_bound must be in 0..{MAX_ELEMENT_BOUND}, got {b}")
+        if s < 1:
+            raise ValueError(f"size_bound must be at least 1, got {s}")
+        if not self.time_budget >= 0:
+            raise ValueError(
+                f"time_budget must be a non-negative number, got {self.time_budget}"
+            )
+        labels = sum(comb(b + 1, size) for size in range(1, min(s, b + 1) + 1))
+        if labels > MAX_LABELS:
+            raise ValueError(
+                f"{labels} labels within {{0..{b}}} of size <= {s} exceed the "
+                f"cap of {MAX_LABELS}; lower element_bound or size_bound"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -65,11 +99,11 @@ class BudgetExceeded(Exception):
 
 
 class _Deadline:
-    def __init__(self, budget: float | None):
-        self.limit = None if budget is None else time.monotonic() + budget
+    def __init__(self, budget: float):
+        self.limit = time.monotonic() + budget
 
     def check(self) -> None:
-        if self.limit is not None and time.monotonic() >= self.limit:
+        if time.monotonic() >= self.limit:
             raise BudgetExceeded
 
 
@@ -91,33 +125,41 @@ def _twin_constraints(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _subsets(elements) -> list[tuple[int, ...]]:
+    """Non-empty subsets of elements, ascending by position bitmask."""
+    out = [()]
+    for x in elements:
+        out += [s + (x,) for s in out]
+    return out[1:]
+
+
 @lru_cache(maxsize=32)
 def _universe(element_bound: int, size_bound: int) -> tuple[tuple[int, ...], ...]:
     """All candidate labels, ascending by element bitmask."""
-    out = []
-    for mask in range(1, 1 << (element_bound + 1)):
-        if mask.bit_count() <= size_bound:
-            out.append(tuple(i for i in range(element_bound + 1) if mask >> i & 1))
-    return tuple(out)
+    return tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
 
 
-@lru_cache(maxsize=32)
-def _pair_tables(element_bound: int, size_bound: int):
-    """Sum-set bitmask and size for every ordered pair of labels."""
-    labels = _universe(element_bound, size_bound)
+def _sum_keys(labels) -> list[list[int]]:
+    """Sum-set bitmask of every ordered pair of labels, by shift-OR."""
     masks = [sum(1 << e for e in lab) for lab in labels]
     n = len(labels)
     key = [[0] * n for _ in range(n)]
-    size = [[0] * n for _ in range(n)]
     for i in range(n):
         mi = masks[i]
+        row = key[i]
         for j in range(i, n):
             s = 0
             for e in labels[j]:
                 s |= mi << e
-            key[i][j] = key[j][i] = s
-            size[i][j] = size[j][i] = s.bit_count()
-    return labels, key, size
+            row[j] = key[j][i] = s
+    return key
+
+
+@lru_cache(maxsize=32)
+def _pair_tables(element_bound: int, size_bound: int):
+    """Every candidate label and the sum-set key of every pair of them."""
+    labels = _universe(element_bound, size_bound)
+    return labels, _sum_keys(labels)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -137,6 +179,72 @@ def _search_order(g: Graph) -> list[int]:
                     seen.add(w)
                     queue.append(w)
     return order
+
+
+def _backtrack(g: Graph, domain, compat, key, deadline: _Deadline):
+    """The first set-indexer of g over domain, as one label per vertex.
+
+    Vertices take distinct labels, in _search_order, each trying labels
+    in domain order; the labels of every edge must have a sum-set key
+    key[i][j] (indices into domain) that no other edge has.  compat, if
+    given, is a pair (lists, sets): lists[i] holds ascending the labels
+    allowed next to label i, sets[i] the same as a set.  None when the
+    whole space is exhausted.
+    """
+    deadline.check()
+    order = _search_order(g)
+    pos_of = {v: p for p, v in enumerate(order)}
+    twins = _twin_constraints(g)
+    earlier = [
+        [u for u in g.adjacency[v] if pos_of[u] < pos_of[v]] for v in g.vertices()
+    ]
+    allowed, allowed_set = compat or (None, None)
+    nlab = len(domain)
+    assign: dict[int, int] = {}
+    used: set[int] = set()
+    edge_used: set[int] = set()
+    counter = 0
+
+    def place(p: int) -> bool:
+        nonlocal counter
+        if p == len(order):
+            return True
+        v = order[p]
+        anchors = earlier[v]
+        floor = assign.get(twins[v], -1)
+        if allowed is None or not anchors:
+            candidates = range(floor + 1, nlab)
+        else:
+            candidates = min((allowed[assign[u]] for u in anchors), key=len)
+        for idx in candidates:
+            if idx <= floor or idx in used:
+                continue
+            counter += 1
+            if not counter % 4096:
+                deadline.check()
+            new_keys = []
+            for u in anchors:
+                a = assign[u]
+                k = key[a][idx]
+                if k in edge_used or k in new_keys or (
+                    allowed_set is not None and idx not in allowed_set[a]
+                ):
+                    break
+                new_keys.append(k)
+            else:
+                assign[v] = idx
+                used.add(idx)
+                edge_used.update(new_keys)
+                if place(p + 1):
+                    return True
+                del assign[v]
+                used.remove(idx)
+                edge_used.difference_update(new_keys)
+        return False
+
+    if not place(0):
+        return None
+    return [domain[assign[v]] for v in g.vertices()]
 
 
 def min_ground_set_size(
@@ -185,84 +293,14 @@ def min_ground_set_size(
 
 
 def _scan_ground_sets(g: Graph, m: int, config: SearchConfig, deadline: _Deadline):
+    """The first m-element ground set, in combinations order, whose
+    non-empty subsets (ascending by position mask) carry a set-indexer."""
     for ground in combinations(range(config.element_bound + 1), m):
-        deadline.check()
-        labels = _try_ground_set(g, ground, deadline)
+        subsets = _subsets(ground)
+        labels = _backtrack(g, subsets, None, _sum_keys(subsets), deadline)
         if labels is not None:
-            return SetLabeling(g, labels), ground
+            return SetLabeling(g, [IntegerSet(lab) for lab in labels]), ground
     return None
-
-
-def _try_ground_set(g: Graph, ground: tuple[int, ...], deadline: _Deadline):
-    subsets = []
-    for mask in range(1, 1 << len(ground)):
-        subsets.append(tuple(ground[i] for i in range(len(ground)) if mask >> i & 1))
-    if len(subsets) < g.vertex_count:
-        return None
-    keys = [sum(1 << e for e in s) for s in subsets]
-    nsub = len(subsets)
-    sum_keys: dict[tuple[int, int], int] = {}
-
-    def pair_key(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        got = sum_keys.get((i, j))
-        if got is None:
-            got = 0
-            for e in subsets[j]:
-                got |= keys[i] << e
-            sum_keys[(i, j)] = got
-        return got
-
-    order = _search_order(g)
-    pos_of = {v: p for p, v in enumerate(order)}
-    twins = _twin_constraints(g)
-    earlier = [
-        [u for u in g.adjacency[v] if pos_of[u] < pos_of[v]] for v in g.vertices()
-    ]
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-    edge_used: set[int] = set()
-    counter = 0
-
-    def place(p: int) -> bool:
-        nonlocal counter
-        if p == len(order):
-            return True
-        v = order[p]
-        floor = -1
-        tw = twins[v]
-        if tw >= 0 and tw in assign:
-            floor = assign[tw]
-        for idx in range(floor + 1, nsub):
-            counter += 1
-            if not counter % 4096:
-                deadline.check()
-            if idx in used:
-                continue
-            new_keys = []
-            ok = True
-            for u in earlier[v]:
-                k = pair_key(assign[u], idx)
-                if k in edge_used or k in new_keys:
-                    ok = False
-                    break
-                new_keys.append(k)
-            if not ok:
-                continue
-            assign[v] = idx
-            used.add(idx)
-            edge_used.update(new_keys)
-            if place(p + 1):
-                return True
-            del assign[v]
-            used.remove(idx)
-            edge_used.difference_update(new_keys)
-        return False
-
-    if not place(0):
-        return None
-    return [IntegerSet(subsets[assign[v]]) for v in g.vertices()]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +320,7 @@ def find_k_uniform(
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     config = config or SearchConfig()
-    labels, key, size = _pair_tables(config.element_bound, config.size_bound)
+    labels, key = _pair_tables(config.element_bound, config.size_bound)
     nlab = len(labels)
     deadline = _Deadline(config.time_budget)
     space = (
@@ -291,89 +329,34 @@ def find_k_uniform(
     )
 
     def pair_ok(i: int, j: int) -> bool:
-        if size[i][j] != k:
+        size = key[i][j].bit_count()
+        if size != k:
             return False
         if mode == "weak":
             return min(len(labels[i]), len(labels[j])) == 1
         if mode == "strong":
-            return size[i][j] == len(labels[i]) * len(labels[j])
+            return size == len(labels[i]) * len(labels[j])
         return True
 
-    compat = [[j for j in range(nlab) if pair_ok(i, j)] for i in range(nlab)]
-
-    order = _search_order(g)
-    pos_of = {v: p for p, v in enumerate(order)}
-    twins = _twin_constraints(g)
-    earlier = [
-        [u for u in g.adjacency[v] if pos_of[u] < pos_of[v]] for v in g.vertices()
-    ]
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-    edge_used: set[int] = set()
-    counter = 0
-
-    def candidates(v: int):
-        anchors = earlier[v]
-        if not anchors:
-            return range(nlab)
-        best = min(anchors, key=lambda u: len(compat[assign[u]]))
-        return compat[assign[best]]
-
-    def place(p: int) -> bool:
-        nonlocal counter
-        if p == len(order):
-            return True
-        v = order[p]
-        floor = -1
-        tw = twins[v]
-        if tw >= 0 and tw in assign:
-            floor = assign[tw]
-        for idx in candidates(v):
-            if idx <= floor or idx in used:
-                continue
-            counter += 1
-            if not counter % 4096:
-                deadline.check()
-            new_keys = []
-            ok = True
-            for u in earlier[v]:
-                if not pair_ok(assign[u], idx):
-                    ok = False
-                    break
-                kk = key[assign[u]][idx]
-                if kk in edge_used or kk in new_keys:
-                    ok = False
-                    break
-                new_keys.append(kk)
-            if not ok:
-                continue
-            assign[v] = idx
-            used.add(idx)
-            edge_used.update(new_keys)
-            if place(p + 1):
-                return True
-            del assign[v]
-            used.remove(idx)
-            edge_used.difference_update(new_keys)
-        return False
-
+    allowed = [[j for j in range(nlab) if pair_ok(i, j)] for i in range(nlab)]
+    compat = allowed, [set(row) for row in allowed]
     try:
-        deadline.check()
-        if place(0):
-            witness = SetLabeling(g, [IntegerSet(labels[assign[v]]) for v in g.vertices()])
-            report = classify(witness)
-            target_ok = report.is_iasl and report.is_iasi and (
-                report.edge_uniform_k == k or report.vacuous_edges
-            )
-            if not target_ok:
-                raise AssertionError("witness failed re-verification")
-            return Certificate("witness", config, space, witness, {"k": k, "mode": mode})
+        found = _backtrack(g, labels, compat, key, deadline)
     except BudgetExceeded:
         return Certificate(
             "budget_exceeded", config,
             f"{space}; wall-clock budget ran out before a verdict",
             data={"k": k, "mode": mode},
         )
+    if found is not None:
+        witness = SetLabeling(g, [IntegerSet(lab) for lab in found])
+        report = classify(witness)
+        target_ok = report.is_iasl and report.is_iasi and (
+            report.edge_uniform_k == k or report.vacuous_edges
+        )
+        if not target_ok:
+            raise AssertionError("witness failed re-verification")
+        return Certificate("witness", config, space, witness, {"k": k, "mode": mode})
     return Certificate(
         "exhausted", config,
         f"{space}; no {k}-uniform set-indexer exists in this space",

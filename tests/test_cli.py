@@ -155,6 +155,19 @@ class TestSearchCommands:
         assert code == 3
         assert json.loads(out)["certificate"]["kind"] == "budget_exceeded"
 
+    @pytest.mark.parametrize("argv,field", [
+        (("uniform", "--graph", "Bw", "--k", "2", "--element-bound", "-1",
+          "--format", "text"), "element_bound"),
+        (("minsize", "--graph", "Bw", "--time-budget", "nan"), "time_budget"),
+        (("uniform", "--graph", "Bw", "--k", "2", "--element-bound", "10",
+          "--size-bound", "9"), "labels within {0..10}"),
+    ])
+    def test_meaningless_search_config_exits_two(self, argv, field):
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_uniform_mode_flag(self):
         code, out, _ = run("uniform", "--graph", "Bw", "--k", "3",
                            "--mode", "weak")

@@ -142,6 +142,29 @@ class TestVerdicts:
         assert check.reason == "budget"
         assert check.details == {}
 
+    def test_weakly_uniform_skips_k_below_two(self):
+        check = run_check("weakly-uniform-iff-bipartite",
+                          Corpus(max_vertices=2, ks=(1,)))
+        assert (check.verdict, check.reason) == ("inconclusive", "empty domain")
+        mixed = run_check("weakly-uniform-iff-bipartite",
+                          Corpus(max_vertices=3, ks=(1, 2)))
+        alone = run_check("weakly-uniform-iff-bipartite",
+                          Corpus(max_vertices=3, ks=(2,)))
+        assert mixed.verdict == "pass"
+        assert mixed.details == alone.details
+
+    @pytest.mark.parametrize("cid", [
+        "uniform-iasl-ratio-condition", "uniform-vertices-equal-neglect",
+    ])
+    def test_supplied_graphs_are_described_as_supplied(self, cid):
+        default = run_check(cid, Corpus(max_element=2))
+        assert default.corpus.startswith("connected test graphs, ")
+        supplied = run_check(cid, Corpus(graphs=(path_graph(3),), max_element=2))
+        assert supplied.corpus.startswith("1 supplied graphs, ")
+        empty = run_check(cid, Corpus(graphs=()))
+        assert empty.corpus.startswith("0 supplied graphs, ")
+        assert (empty.verdict, empty.reason) == ("inconclusive", "empty domain")
+
     def test_counterexample_caps_but_counts(self):
         graphs = tuple(
             g for g in [complete_graph(3), cycle_graph(4), star_graph(3),

@@ -1,12 +1,18 @@
 """Bounded exact search: minimal ground sets and k-uniform labelings."""
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
+from iasltools.cli import main
 from iasltools.graph import (
     complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
-    star_graph,
+    star_graph, write_graph6,
 )
 from iasltools.intset import iset
 from iasltools.labeling import classify, ground_set
@@ -25,6 +31,30 @@ class TestConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             SearchConfig().element_bound = 3
+
+    @pytest.mark.parametrize("kwargs", [
+        {"element_bound": -1},
+        {"element_bound": 13, "size_bound": 1},
+        {"size_bound": 0},
+        {"time_budget": -0.5},
+        {"time_budget": float("nan")},
+        # 1,092 labels over {0..12}, one over 1,023 with all of {0..9}
+        {"element_bound": 12},
+        {"element_bound": 10, "size_bound": 9},
+    ])
+    def test_meaningless_bounds_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("bounds", [
+        (8, 4), (8, 9), (6, 3), (5, 3), (5, 2), (1, 4), (0, 1), (9, 9), (10, 4),
+        (12, 3),
+    ])
+    def test_documented_bounds_accepted(self, bounds):
+        element_bound, size_bound = bounds
+        cfg = SearchConfig(element_bound=element_bound, size_bound=size_bound,
+                           time_budget=0.0)
+        assert cfg.to_json()["time_budget"] == 0.0
 
 
 class TestMinGroundSet:
@@ -197,3 +227,136 @@ class TestBinomialBound:
         payload = res.to_json()
         assert payload["holds"] is True
         assert payload["label_size"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against an unpruned enumerator
+
+@lru_cache(maxsize=None)
+def _sums(a, b):
+    return frozenset(x + y for x in a for y in b)
+
+
+def _nonempty_subsets(elements):
+    return [frozenset(c) for size in range(1, len(elements) + 1)
+            for c in combinations(elements, size)]
+
+
+def _is_indexer(g, labels):
+    """Distinct vertex labels and distinct edge sum sets."""
+    edge_sums = {_sums(labels[u], labels[v]) for u, v in g.edges}
+    return len(set(labels)) == len(labels) and len(edge_sums) == g.edge_count
+
+
+def _brute_indexers(g, domain):
+    """Every set-indexer of g with labels from domain, one tuple per labeling."""
+    for labels in permutations(domain, g.vertex_count):
+        if _is_indexer(g, labels):
+            yield labels
+
+
+def _modes(g, labels):
+    """The (k, mode) pairs that the set-indexer labels satisfies."""
+    pairs = [(labels[u], labels[v]) for u, v in g.edges]
+    sizes = {len(_sums(a, b)) for a, b in pairs}
+    if len(sizes) > 1:
+        return set()
+    modes = {"any"}
+    if all(min(len(a), len(b)) == 1 for a, b in pairs):
+        modes.add("weak")
+    if all(len(_sums(a, b)) == len(a) * len(b) for a, b in pairs):
+        modes.add("strong")
+    return {(k, mode) for k in sizes or (1, 2, 3, 4) for mode in modes}
+
+
+def _small_graphs():
+    return [g for n in range(5) for g in enumerate_graphs(n)]
+
+
+def _witness_labels(cert):
+    return [frozenset(l.to_list()) for l in cert.witness.labels]
+
+
+class TestAgainstBruteForce:
+    """Verdicts of the pruned engine (twin floors, compatibility lists)
+    against every injective labeling, with sum sets as frozensets."""
+
+    @pytest.mark.parametrize("bounds", [(3, 2), (2, 3)])
+    def test_find_k_uniform_verdicts(self, bounds):
+        element_bound, size_bound = bounds
+        cfg = SearchConfig(element_bound=element_bound, size_bound=size_bound)
+        domain = [s for s in _nonempty_subsets(range(element_bound + 1))
+                  if len(s) <= size_bound]
+        for g in _small_graphs():
+            reachable = set()
+            for labels in _brute_indexers(g, domain):
+                reachable |= _modes(g, labels)
+            for k in (1, 2, 3, 4):
+                for mode in ("any", "weak", "strong"):
+                    cert = find_k_uniform(g, k, cfg, mode=mode)
+                    case = (write_graph6(g), k, mode)
+                    assert cert.kind == (
+                        "witness" if (k, mode) in reachable else "exhausted"
+                    ), case
+                    if cert.witness is not None:
+                        found = _witness_labels(cert)
+                        assert set(found) <= set(domain), case
+                        assert _is_indexer(g, found), case
+                        assert (k, mode) in _modes(g, found), case
+
+    def test_min_ground_set_size(self):
+        element_bound = 3
+        cfg = SearchConfig(element_bound=element_bound)
+        for g in _small_graphs():
+            expected = next((
+                m for m in range(element_bound + 2)
+                if any(next(_brute_indexers(g, _nonempty_subsets(ground)), None)
+                       is not None
+                       for ground in combinations(range(element_bound + 1), m))
+            ), None)
+            size, cert = min_ground_set_size(g, cfg)
+            assert size == expected, write_graph6(g)
+            if cert.witness is not None:
+                found = _witness_labels(cert)
+                ground = cert.to_json()["ground_set"]
+                assert len(ground) == size
+                assert set(found) <= set(_nonempty_subsets(ground))
+                assert _is_indexer(g, found)
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+def _batch_digest(tmp_path, graphs, *argv):
+    path = tmp_path / "batch.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main([argv[0], "--graph", str(path), *argv[1:]])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _connected(max_n):
+    return [g for n in range(max_n + 1) for g in enumerate_graphs(n, connected_only=True)]
+
+
+class TestPinnedOutput:
+    """SHA-256 of batch JSON Lines, recorded before the two searches
+    shared one engine.  A pruning change that moves a witness must
+    update these digests on purpose."""
+
+    def test_minsize_connected_up_to_five(self, tmp_path):
+        assert _batch_digest(tmp_path, _connected(5), "minsize") == (
+            "f29b6e16a42bd7e3e31031f12fced3724f1cd8f8744d185194fe41c917cf90d9"
+        )
+
+    @pytest.mark.parametrize("mode,k,digest", [
+        ("any", 2, "0040c040323e9a44bb13809e0cc09e61de31479121e17d108416183f38613c94"),
+        ("weak", 2, "bf599d86ef84af54afbb3709bb0e982df0bb9b74f816b3df06e33dfea36f44d5"),
+        ("strong", 3, "317bf3a346d44f70b6fbb35915eb16be63f549e1761385d9d6cad1c3b3ea72c1"),
+    ], ids=["any", "weak", "strong"])
+    def test_uniform_connected_up_to_four(self, tmp_path, mode, k, digest):
+        assert _batch_digest(
+            tmp_path, _connected(4), "uniform", "--k", str(k), "--mode", mode,
+            "--element-bound", "5", "--size-bound", "3",
+        ) == digest
