@@ -27,11 +27,9 @@ from .graph import (
 )
 from .graph6 import Graph6Error
 from .intset import IntegerSet
-from .labeling import (
-    LabelingError, SetLabeling, classify, labeling_from_json, labeling_to_json,
-)
+from .labeling import SetLabeling, classify, labeling_from_json, labeling_to_json
 from .oracle import CHECK_IDS, Corpus, run_check, run_suite
-from .search import BudgetExceeded, SearchConfig, find_k_uniform, min_ground_set_size
+from .search import SearchConfig, find_k_uniform, min_ground_set_size
 
 __all__ = ["main", "console_main"]
 
@@ -146,19 +144,15 @@ def _parse_json(text: str, what: str):
 
 def _labeling_from_args(graph_text: str | None, labels_text: str) -> SetLabeling:
     payload = _parse_json(labels_text, "labels JSON")
-    if isinstance(payload, dict):
-        try:
-            return labeling_from_json(payload)
-        except (LabelingError, GraphError, Graph6Error, ValueError, KeyError) as exc:
-            raise _CliError(f"labeling JSON: {exc}") from exc
-    if graph_text is None:
+    bare = not isinstance(payload, dict)
+    if bare and graph_text is None:
         raise _CliError("--graph is required when --labels is a bare array")
-    g = _parse_graph(graph_text)
     try:
-        labels = [IntegerSet(l) for l in payload]
-        return SetLabeling(g, labels)
-    except (LabelingError, ValueError, TypeError) as exc:
-        raise _CliError(f"labels: {exc}") from exc
+        if bare:
+            return SetLabeling(_parse_graph(graph_text), [IntegerSet(l) for l in payload])
+        return labeling_from_json(payload)
+    except (ValueError, TypeError) as exc:
+        raise _CliError(f"{'labels' if bare else 'labeling JSON'}: {exc}") from exc
 
 
 def _config(ns) -> SearchConfig:
@@ -447,9 +441,6 @@ def main(argv=None) -> int:
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded:
-        print("error: search budget exhausted", file=sys.stderr)
-        return 3
 
 
 def console_main() -> None:

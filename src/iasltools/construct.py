@@ -11,19 +11,15 @@ formula output is kept alongside as evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     Graph, GraphError, contract_edge, corona, induced_subgraph, is_bipartite,
     join, line_graph, pair_id, product, rooted_product, subdivide_edge,
     total_graph, union,
 )
-from .intset import (
-    DEFAULT_ELEMENT_BOUND, IntegerSet, integral_multiple, sumset,
-)
-from .labeling import (
-    ClassificationReport, LabelingError, SetLabeling, classify,
-)
+from .intset import IntegerSet, integral_multiple, sumset
+from .labeling import ClassificationReport, SetLabeling, classify
 
 __all__ = [
     "ConstructionOutcome", "NoConstruction", "RepairEntry", "ConstructionError",
@@ -95,7 +91,7 @@ class NoConstruction:
         }
 
 
-def _repair(labels: list[IntegerSet], bound: int) -> tuple[list[IntegerSet], list[RepairEntry]]:
+def _repair(labels: list[IntegerSet]) -> tuple[list[IntegerSet], list[RepairEntry]]:
     """Translate each later duplicate by vertex_id * P.
 
     P is the smallest power of two past every element in use, so each
@@ -111,7 +107,7 @@ def _repair(labels: list[IntegerSet], bound: int) -> tuple[list[IntegerSet], lis
         if lab not in first_seen:
             first_seen[lab] = v
             continue
-        new = IntegerSet((v * scale + x for x in lab.elements), bound=bound)
+        new = IntegerSet(v * scale + x for x in lab.elements)
         log.append(
             RepairEntry(v, lab, new,
                         f"duplicate of vertex {first_seen[lab]}, rescaled by {v}*{scale}")
@@ -120,12 +116,12 @@ def _repair(labels: list[IntegerSet], bound: int) -> tuple[list[IntegerSet], lis
     return out, log
 
 
-def _finalize(graph: Graph, labels, bound: int, note: str = "") -> ConstructionOutcome:
+def _finalize(graph: Graph, labels, note: str = "") -> ConstructionOutcome:
     raw = SetLabeling(graph, labels)
     formula_report = classify(raw)
     if formula_report.is_iasl:
         return ConstructionOutcome(raw, False, (), formula_report, formula_report, note)
-    fixed, log = _repair(list(raw.labels), bound)
+    fixed, log = _repair(list(raw.labels))
     done = SetLabeling(graph, fixed)
     report = classify(done)
     if not report.is_iasl:
@@ -136,18 +132,16 @@ def _finalize(graph: Graph, labels, bound: int, note: str = "") -> ConstructionO
 # ---------------------------------------------------------------------------
 # direct constructions
 
-def canonical_iasi(g: Graph, bound: int = DEFAULT_ELEMENT_BOUND) -> ConstructionOutcome:
+def canonical_iasi(g: Graph) -> ConstructionOutcome:
     """Vertex i gets {2^i}; binary uniqueness makes both maps injective."""
-    labels = [IntegerSet((1 << i,), bound=bound) for i in g.vertices()]
-    out = _finalize(g, labels, bound, note="singleton powers of two")
+    labels = [IntegerSet((1 << i,)) for i in g.vertices()]
+    out = _finalize(g, labels, note="singleton powers of two")
     if out.repaired or not out.report.is_iasi:
         raise AssertionError("canonical construction must verify without repair")
     return out
 
 
-def two_uniform_iasi(
-    g: Graph, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome | NoConstruction:
+def two_uniform_iasi(g: Graph) -> ConstructionOutcome | NoConstruction:
     """Singletons {2^i} on one side, {0, 2^i} on the other.
 
     Every edge label is {2^u, 2^u + 2^v}, so edges decode uniquely and
@@ -159,21 +153,17 @@ def two_uniform_iasi(
     labels = []
     for v in g.vertices():
         if side.coloring[v] == 0:
-            labels.append(IntegerSet((1 << v,), bound=bound))
+            labels.append(IntegerSet((1 << v,)))
         else:
-            labels.append(IntegerSet((0, 1 << v), bound=bound))
-    out = _finalize(g, labels, bound, note="bipartite singleton / {0, power} split")
-    ok = out.report.is_iasi and (
-        out.report.edge_uniform_k == 2 or out.report.vacuous_edges
-    )
+            labels.append(IntegerSet((0, 1 << v)))
+    out = _finalize(g, labels, note="bipartite singleton / {0, power} split")
+    ok = out.report.is_iasi and out.report.is_k_uniform(2)
     if out.repaired or not ok:
         raise AssertionError("2-uniform construction must verify without repair")
     return out
 
 
-def weakly_uniform_iasi(
-    g: Graph, k: int, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome | NoConstruction:
+def weakly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruction:
     """k-uniform with a singleton endpoint on every edge; needs k >= 2.
 
     One side gets singletons {i}, the other k-blocks starting at
@@ -190,14 +180,14 @@ def weakly_uniform_iasi(
     stride = max(len(part0), k + 1)
     labels: list[IntegerSet | None] = [None] * g.vertex_count
     for i, v in enumerate(part0):
-        labels[v] = IntegerSet((i,), bound=bound)
+        labels[v] = IntegerSet((i,))
     for j, v in enumerate(part1):
-        labels[v] = IntegerSet(range(j * stride, j * stride + k), bound=bound)
-    out = _finalize(g, labels, bound, note=f"singleton / {k}-block split, stride {stride}")
+        labels[v] = IntegerSet(range(j * stride, j * stride + k))
+    out = _finalize(g, labels, note=f"singleton / {k}-block split, stride {stride}")
     ok = (
         out.report.is_iasi
         and out.report.is_weak
-        and (out.report.edge_uniform_k == k or out.report.vacuous_edges)
+        and out.report.is_k_uniform(k)
     )
     if out.repaired or not ok:
         raise AssertionError("weakly uniform construction must verify without repair")
@@ -215,7 +205,7 @@ def _primes_above(floor: int, count: int) -> list[int]:
 
 
 def _shifted_progressions(
-    vertices, lengths: dict[int, int], bound: int
+    vertices, lengths: dict[int, int]
 ) -> tuple[list[IntegerSet], str]:
     """Label v with M*2^v + {0, d_v, 2*d_v, ...} (own prime difference d_v).
 
@@ -234,15 +224,11 @@ def _shifted_progressions(
     labels = []
     for v in vertices:
         base = scale * (1 << v)
-        labels.append(
-            IntegerSet((base + t * primes[v] for t in range(lengths[v])), bound=bound)
-        )
+        labels.append(IntegerSet(base + t * primes[v] for t in range(lengths[v])))
     return labels, f"offset scale {scale}, prime differences"
 
 
-def strongly_uniform_iasi(
-    g: Graph, k: int, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome | NoConstruction:
+def strongly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruction:
     """Every edge label has size |f(u)|*|f(v)| = k.
 
     Perfect square k = l*l: every vertex gets an l-term progression with
@@ -255,7 +241,7 @@ def strongly_uniform_iasi(
     root = round(k ** 0.5)
     if root * root == k:
         lengths = {v: root for v in g.vertices()}
-        labels, how = _shifted_progressions(list(g.vertices()), lengths, bound)
+        labels, how = _shifted_progressions(list(g.vertices()), lengths)
         note = f"completely uniform branch: all labels size {root}, {how}"
     else:
         side = is_bipartite(g)
@@ -267,13 +253,13 @@ def strongly_uniform_iasi(
         lengths = {
             v: 1 if side.coloring[v] == 0 else k for v in g.vertices()
         }
-        labels, how = _shifted_progressions(list(g.vertices()), lengths, bound)
+        labels, how = _shifted_progressions(list(g.vertices()), lengths)
         note = f"bipartite branch: sizes 1 x {k}, {how}"
-    out = _finalize(g, labels, bound, note=note)
+    out = _finalize(g, labels, note=note)
     ok = (
         out.report.is_iasi
         and out.report.is_strong
-        and (out.report.edge_uniform_k == k or out.report.vacuous_edges)
+        and out.report.is_k_uniform(k)
     )
     if out.repaired or not ok:
         raise AssertionError("strongly uniform construction must verify without repair")
@@ -294,7 +280,6 @@ def induced_labeling(
     f1: SetLabeling,
     f2: SetLabeling | None = None,
     shared: dict[int, int] | None = None,
-    bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> ConstructionOutcome:
     """Operand labels pushed through union, join, complement, or a product.
 
@@ -306,7 +291,7 @@ def induced_labeling(
         if f2 is not None:
             raise ConstructionError("complement takes a single labeling")
         from .graph import complement as _complement
-        return _finalize(_complement(f1.graph), list(f1.labels), bound,
+        return _finalize(_complement(f1.graph), list(f1.labels),
                          note="labels kept on complement")
     f2 = _require(f2, "second")
     if kind == "union":
@@ -321,10 +306,10 @@ def induced_labeling(
             labels[t] = f1.labels[i]
         for j, t in enumerate(res.map_second):
             labels[t] = f2.labels[j]
-        return _finalize(res.graph, labels, bound, note="union of operand labels")
+        return _finalize(res.graph, labels, note="union of operand labels")
     if kind == "join":
         graph = join(f1.graph, f2.graph)
-        return _finalize(graph, list(f1.labels) + list(f2.labels), bound,
+        return _finalize(graph, list(f1.labels) + list(f2.labels),
                          note="operand labels side by side")
     if kind in ("cartesian", "direct", "strong", "lexicographic"):
         graph = product(kind, f1.graph, f2.graph)
@@ -332,27 +317,23 @@ def induced_labeling(
         labels = [None] * graph.vertex_count
         for i in f1.graph.vertices():
             for j in f2.graph.vertices():
-                labels[pair_id(i, j, n2)] = sumset(f1.labels[i], f2.labels[j], bound=bound)
-        return _finalize(graph, labels, bound, note=f"{kind} product sums")
+                labels[pair_id(i, j, n2)] = sumset(f1.labels[i], f2.labels[j])
+        return _finalize(graph, labels, note=f"{kind} product sums")
     raise ConstructionError(f"unknown operation {kind!r}")
 
 
-def corona_labeling(
-    f1: SetLabeling, f2: SetLabeling, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def corona_labeling(f1: SetLabeling, f2: SetLabeling) -> ConstructionOutcome:
     """Copy i of the second operand is labeled i.f2 (1-based multiplier)."""
     graph = corona(f1.graph, f2.graph)
     n1, n2 = f1.graph.vertex_count, f2.graph.vertex_count
     labels = list(f1.labels) + [None] * (n1 * n2)
     for i in range(n1):
         for j in range(n2):
-            labels[n1 + i * n2 + j] = integral_multiple(i + 1, f2.labels[j], bound=bound)
-    return _finalize(graph, labels, bound, note="copy multiples 1..n")
+            labels[n1 + i * n2 + j] = integral_multiple(i + 1, f2.labels[j])
+    return _finalize(graph, labels, note="copy multiples 1..n")
 
 
-def rooted_labeling(
-    f1: SetLabeling, f2: SetLabeling, root: int, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def rooted_labeling(f1: SetLabeling, f2: SetLabeling, root: int) -> ConstructionOutcome:
     """Roots keep f1; copy i gets a distinct multiple of f2.
 
     Multipliers are tried in order 1, 2, 3, ... and any that collides
@@ -371,8 +352,7 @@ def rooted_labeling(
         for _ in range(16 + 4 * n1):
             multiplier += 1
             try:
-                cand = [integral_multiple(multiplier, f2.labels[j], bound=bound)
-                        for j in others]
+                cand = [integral_multiple(multiplier, f2.labels[j]) for j in others]
             except ValueError:
                 break
             if len(set(cand)) == len(cand) and not taken.intersection(cand):
@@ -380,40 +360,33 @@ def rooted_labeling(
                 break
         if chosen is None:
             # give up on skipping; the repair pass will fix duplicates
-            chosen = [integral_multiple(max(multiplier, 1), f2.labels[j], bound=bound)
-                      for j in others]
+            chosen = [integral_multiple(multiplier, f2.labels[j]) for j in others]
         taken.update(chosen)
         for r, j in enumerate(others):
             labels[n1 + i * (n2 - 1) + r] = chosen[r]
-    return _finalize(graph, labels, bound, note="distinct copy multiples")
+    return _finalize(graph, labels, note="distinct copy multiples")
 
 
-def subdivision_labeling(
-    f: SetLabeling, edge: tuple[int, int], bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def subdivision_labeling(f: SetLabeling, edge: tuple[int, int]) -> ConstructionOutcome:
     """The new degree-2 vertex takes the edge's sum set."""
     u, v = min(edge), max(edge)
     graph = subdivide_edge(f.graph, (u, v))
-    labels = list(f.labels) + [sumset(f.labels[u], f.labels[v], bound=bound)]
-    return _finalize(graph, labels, bound, note=f"new vertex gets label of edge ({u},{v})")
+    labels = list(f.labels) + [sumset(f.labels[u], f.labels[v])]
+    return _finalize(graph, labels, note=f"new vertex gets label of edge ({u},{v})")
 
 
-def contraction_labeling(
-    f: SetLabeling, edge: tuple[int, int], bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def contraction_labeling(f: SetLabeling, edge: tuple[int, int]) -> ConstructionOutcome:
     """The merged vertex takes f(u) + f(v); everything else is carried over."""
     u, v = min(edge), max(edge)
     res = contract_edge(f.graph, (u, v))
     labels: list[IntegerSet | None] = [None] * res.graph.vertex_count
     for old in f.graph.vertices():
         labels[res.vertex_map[old]] = f.labels[old]
-    labels[res.vertex_map[u]] = sumset(f.labels[u], f.labels[v], bound=bound)
-    return _finalize(res.graph, labels, bound, note=f"merged vertex gets sum of ({u},{v})")
+    labels[res.vertex_map[u]] = sumset(f.labels[u], f.labels[v])
+    return _finalize(res.graph, labels, note=f"merged vertex gets sum of ({u},{v})")
 
 
-def minor_labeling(
-    f: SetLabeling, script, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def minor_labeling(f: SetLabeling, script) -> ConstructionOutcome:
     """Apply a deletion/contraction script; labels restrict or merge.
 
     Steps are ("delete-vertex", v), ("delete-edge", (u, v)), or
@@ -441,32 +414,28 @@ def minor_labeling(
             new_labels: list[IntegerSet | None] = [None] * res.graph.vertex_count
             for old in graph.vertices():
                 new_labels[res.vertex_map[old]] = labels[old]
-            new_labels[res.vertex_map[u]] = sumset(labels[u], labels[v], bound=bound)
+            new_labels[res.vertex_map[u]] = sumset(labels[u], labels[v])
             labels = new_labels
             graph = res.graph
         else:
             raise ConstructionError(f"unknown minor step {step!r}")
-    return _finalize(graph, labels, bound,
+    return _finalize(graph, labels,
                      note="minor script applied (contractions merge by sum)")
 
 
-def line_graph_labeling(
-    f: SetLabeling, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def line_graph_labeling(f: SetLabeling) -> ConstructionOutcome:
     """Each line-graph vertex takes the label of the edge it stands for."""
     res = line_graph(f.graph)
-    labels = [sumset(f.labels[u], f.labels[v], bound=bound) for u, v in res.vertex_edges]
-    return _finalize(res.graph, labels, bound, note="edge labels as vertex labels")
+    labels = [sumset(f.labels[u], f.labels[v]) for u, v in res.vertex_edges]
+    return _finalize(res.graph, labels, note="edge labels as vertex labels")
 
 
-def total_graph_labeling(
-    f: SetLabeling, bound: int = DEFAULT_ELEMENT_BOUND
-) -> ConstructionOutcome:
+def total_graph_labeling(f: SetLabeling) -> ConstructionOutcome:
     """Vertex part keeps f; edge part takes the edge labels."""
     res = total_graph(f.graph)
     labels = list(f.labels)
-    labels += [sumset(f.labels[u], f.labels[v], bound=bound) for u, v in res.vertex_edges]
-    return _finalize(res.graph, labels, bound, note="vertex labels plus edge labels")
+    labels += [sumset(f.labels[u], f.labels[v]) for u, v in res.vertex_edges]
+    return _finalize(res.graph, labels, note="vertex labels plus edge labels")
 
 
 def homeomorphic_transfer(
@@ -475,7 +444,6 @@ def homeomorphic_transfer(
     h: Graph,
     h_script,
     correspondence,
-    bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> ConstructionOutcome:
     """Carry a labeling across an isomorphism of subdivisions.
 
@@ -488,7 +456,7 @@ def homeomorphic_transfer(
     """
     work = f
     for edge in g_script:
-        work = subdivision_labeling(work, edge, bound=bound).labeling
+        work = subdivision_labeling(work, edge).labeling
     h_expanded = h
     for edge in h_script:
         h_expanded = subdivide_edge(h_expanded, edge)
@@ -518,4 +486,4 @@ def homeomorphic_transfer(
         labels.pop()
     if graph != h:
         raise ConstructionError("undoing the subdivisions did not recover the target")
-    return _finalize(h, labels, bound, note="transferred across subdivision isomorphism")
+    return _finalize(h, labels, note="transferred across subdivision isomorphism")

@@ -478,7 +478,6 @@ def enumerate_graphs(
     n: int,
     connected_only: bool = False,
     skip_isolated: bool = False,
-    max_n: int = MAX_ENUMERATION_VERTICES,
 ) -> Iterator[Graph]:
     """All labeled graphs on n vertices, ascending by edge bitmask.
 
@@ -486,8 +485,8 @@ def enumerate_graphs(
     guards against runaway enumeration; larger corpora should come from
     a graph6 file instead.
     """
-    if n > max_n:
-        raise GraphError(f"n={n} exceeds enumeration cap {max_n}")
+    if n > MAX_ENUMERATION_VERTICES:
+        raise GraphError(f"n={n} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
     slots = list(combinations(range(n), 2))
     for mask in range(1 << len(slots)):
         g = Graph(n, tuple(slots[k] for k in range(len(slots)) if mask >> k & 1))
@@ -498,14 +497,11 @@ def enumerate_graphs(
         yield g
 
 
-def to_dot(g: Graph, labels=None) -> str:
+def to_dot(g: Graph) -> str:
     """DOT text listing every vertex (isolated ones included) and edge."""
     lines = ["graph G {"]
     for v in g.vertices():
-        text = g.name_of(v)
-        if labels is not None:
-            text = f"{text} {labels[v]}"
-        lines.append(f'  {v} [label="{text}"];')
+        lines.append(f'  {v} [label="{g.name_of(v)}"];')
     for u, v in g.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -17,7 +17,7 @@ DEFAULT_ELEMENT_BOUND = 1 << 20
 
 
 class ElementBoundError(ValueError):
-    """An element or arithmetic result exceeds the configured bound."""
+    """An element or arithmetic result exceeds DEFAULT_ELEMENT_BOUND."""
 
 
 @dataclass(frozen=True, order=True, init=False)
@@ -26,16 +26,21 @@ class IntegerSet:
 
     elements: tuple[int, ...]
 
-    def __init__(self, elements, bound: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, elements):
+        elements = tuple(elements)
+        # bool is a subclass of int, but JSON true is not the element 1;
+        # checked before deduplication, which would merge True into 1
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in elements):
+            raise TypeError("elements must be integers")
         elems = tuple(sorted(set(elements)))
         if not elems:
             raise ValueError("label sets must be non-empty")
-        if not all(isinstance(x, int) for x in elems):
-            raise TypeError("elements must be integers")
         if elems[0] < 0:
             raise ValueError(f"negative element {elems[0]} not allowed")
-        if elems[-1] > bound:
-            raise ElementBoundError(f"element {elems[-1]} exceeds bound {bound}")
+        if elems[-1] > DEFAULT_ELEMENT_BOUND:
+            raise ElementBoundError(
+                f"element {elems[-1]} exceeds bound {DEFAULT_ELEMENT_BOUND}"
+            )
         object.__setattr__(self, "elements", elems)
 
     def __iter__(self):
@@ -69,12 +74,12 @@ def _trusted(elements: tuple[int, ...]) -> IntegerSet:
     return out
 
 
-def iset(*elements: int, bound: int = DEFAULT_ELEMENT_BOUND) -> IntegerSet:
+def iset(*elements: int) -> IntegerSet:
     """Shorthand constructor: iset(1, 2) == IntegerSet((1, 2))."""
-    return IntegerSet(elements, bound=bound)
+    return IntegerSet(elements)
 
 
-def sumset(a: IntegerSet, b: IntegerSet, bound: int = DEFAULT_ELEMENT_BOUND) -> IntegerSet:
+def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     """Return {x + y : x in a, y in b}.
 
     Both inputs are valid sets, so every sum is a non-negative integer and
@@ -82,6 +87,7 @@ def sumset(a: IntegerSet, b: IntegerSet, bound: int = DEFAULT_ELEMENT_BOUND) -> 
     a-major order.
     """
     ae, be = a.elements, b.elements
+    bound = DEFAULT_ELEMENT_BOUND
     if ae[-1] + be[-1] > bound:
         for x in ae:
             for y in be:
@@ -92,7 +98,7 @@ def sumset(a: IntegerSet, b: IntegerSet, bound: int = DEFAULT_ELEMENT_BOUND) -> 
     return _trusted(tuple(sorted({x + y for x in ae for y in be})))
 
 
-def integral_multiple(n: int, a: IntegerSet, bound: int = DEFAULT_ELEMENT_BOUND) -> IntegerSet:
+def integral_multiple(n: int, a: IntegerSet) -> IntegerSet:
     """Return n.a = {n * x : x in a} for a positive integer n.
 
     n = 0 would collapse every set to {0}, so it is rejected.
@@ -102,10 +108,12 @@ def integral_multiple(n: int, a: IntegerSet, bound: int = DEFAULT_ELEMENT_BOUND)
     out = []
     for x in a.elements:
         s = n * x
-        if s > bound:
-            raise ElementBoundError(f"multiple {n}*{x}={s} exceeds bound {bound}")
+        if s > DEFAULT_ELEMENT_BOUND:
+            raise ElementBoundError(
+                f"multiple {n}*{x}={s} exceeds bound {DEFAULT_ELEMENT_BOUND}"
+            )
         out.append(s)
-    return IntegerSet(out, bound=bound)
+    return IntegerSet(out)
 
 
 def difference_set(a: IntegerSet) -> frozenset[int]:

@@ -9,7 +9,6 @@ for every false verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .graph import Graph, parse_graph6, write_graph6
@@ -97,6 +96,10 @@ class ClassificationReport:
     vacuous_edges: bool
     per_edge: tuple[EdgeRecord, ...]
     violations: tuple[Violation, ...] = field(compare=False)
+
+    def is_k_uniform(self, k: int) -> bool:
+        """Every edge label has size k; an edgeless graph is k-uniform for every k."""
+        return self.edge_uniform_k == k or self.vacuous_edges
 
     def to_json(self) -> dict:
         return {
@@ -233,11 +236,13 @@ def labeling_to_json(f: SetLabeling) -> dict:
     }
 
 
-def labeling_from_json(obj) -> SetLabeling:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def labeling_from_json(obj: dict) -> SetLabeling:
+    """Inverse of labeling_to_json, on the parsed JSON object."""
     if not isinstance(obj, dict) or "graph6" not in obj or "labels" not in obj:
         raise LabelingError('labeling JSON needs "graph6" and "labels" keys')
-    g = parse_graph6(obj["graph6"])
-    labels = [IntegerSet(l) for l in obj["labels"]]
-    return SetLabeling(g, labels)
+    text, labels = obj["graph6"], obj["labels"]
+    if not isinstance(text, str):
+        raise LabelingError('"graph6" must be a string')
+    if not isinstance(labels, list) or not all(isinstance(l, list) for l in labels):
+        raise LabelingError('"labels" must be a list of integer lists')
+    return SetLabeling(parse_graph6(text), [IntegerSet(l) for l in labels])

@@ -184,9 +184,9 @@ def _labels(d: _Domain) -> list[tuple[int, ...]]:
     return [s for s in _subsets(d.max_element) if len(s) <= d.max_label_size]
 
 
-def _fail(check: TheoremCheck, record: dict, cap: int = 5) -> None:
+def _fail(check: TheoremCheck, record: dict) -> None:
     check.verdict = "counterexample"
-    if len(check.counterexamples) < cap:
+    if len(check.counterexamples) < 5:
         check.counterexamples.append(record)
 
 

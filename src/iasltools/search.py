@@ -39,10 +39,9 @@ class SearchConfig:
     labels of at most size_bound elements, time_budget wall-clock seconds.
 
     Rejected with ValueError: an element_bound outside
-    0..MAX_ELEMENT_BOUND, a size_bound below 1, a negative or NaN
-    time_budget, and bounds whose label universe (the non-empty subsets
-    of {0..element_bound} of size <= size_bound) has more than MAX_LABELS
-    members, since the k-uniform search tabulates every pair of them.
+    0..MAX_ELEMENT_BOUND, a size_bound below 1, and a negative or NaN
+    time_budget.  find_k_uniform also rejects bounds whose label universe
+    has more than MAX_LABELS members (see _universe).
     """
 
     element_bound: int = 8
@@ -58,12 +57,6 @@ class SearchConfig:
         if not self.time_budget >= 0:
             raise ValueError(
                 f"time_budget must be a non-negative number, got {self.time_budget}"
-            )
-        labels = sum(comb(b + 1, size) for size in range(1, min(s, b + 1) + 1))
-        if labels > MAX_LABELS:
-            raise ValueError(
-                f"{labels} labels within {{0..{b}}} of size <= {s} exceed the "
-                f"cap of {MAX_LABELS}; lower element_bound or size_bound"
             )
 
     def to_json(self) -> dict:
@@ -135,8 +128,18 @@ def _subsets(elements) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=32)
 def _universe(element_bound: int, size_bound: int) -> tuple[tuple[int, ...], ...]:
-    """All candidate labels, ascending by element bitmask."""
-    return tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
+    """All candidate labels, ascending by element bitmask.
+
+    Rejected with ValueError above MAX_LABELS labels, since the k-uniform
+    search tabulates every pair of them.
+    """
+    labels = tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
+    if len(labels) > MAX_LABELS:
+        raise ValueError(
+            f"{len(labels)} labels within {{0..{element_bound}}} of size <= {size_bound} "
+            f"exceed the cap of {MAX_LABELS}; lower element_bound or size_bound"
+        )
+    return labels
 
 
 def _sum_keys(labels) -> list[list[int]]:
@@ -258,7 +261,7 @@ def min_ground_set_size(
     """
     config = config or SearchConfig()
     n = g.vertex_count
-    lower = max(n.bit_length(), 1 if n else 0)
+    lower = n.bit_length()
     deadline = _Deadline(config.time_budget)
     space = (
         f"ground sets X within {{0..{config.element_bound}}}, "
@@ -351,10 +354,7 @@ def find_k_uniform(
     if found is not None:
         witness = SetLabeling(g, [IntegerSet(lab) for lab in found])
         report = classify(witness)
-        target_ok = report.is_iasl and report.is_iasi and (
-            report.edge_uniform_k == k or report.vacuous_edges
-        )
-        if not target_ok:
+        if not (report.is_iasl and report.is_iasi and report.is_k_uniform(k)):
             raise AssertionError("witness failed re-verification")
         return Certificate("witness", config, space, witness, {"k": k, "mode": mode})
     return Certificate(

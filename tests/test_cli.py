@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from iasltools.cli import main
+from iasltools.graph import path_graph, write_graph6
 
 
 def run(*argv):
@@ -49,6 +50,25 @@ class TestClassify:
     def test_label_count_mismatch(self):
         code, _, err = run("classify", "--graph", "A_", "--labels", "[[1]]")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--labels", '{"graph6": "A_", "labels": [[0], 5]}'),
+         'labeling JSON: "labels" must be a list of integer lists'),
+        (("--labels", '{"graph6": "A_", "labels": 5}'),
+         'labeling JSON: "labels" must be a list of integer lists'),
+        (("--labels", '{"graph6": "A_", "labels": [[0], "ab"]}'),
+         'labeling JSON: "labels" must be a list of integer lists'),
+        (("--labels", '{"graph6": 5, "labels": [[0], [1]]}'),
+         'labeling JSON: "graph6" must be a string'),
+        (("--labels", '{"graph6": "A_", "labels": [[0], [true]]}'),
+         "labeling JSON: elements must be integers"),
+        (("--graph", "A_", "--labels", "[[0],[true]]"),
+         "labels: elements must be integers"),
+    ], ids=["label-int", "labels-int", "label-str", "graph6-int", "label-true",
+            "bare-true"])
+    def test_malformed_labeling_exits_two(self, argv, err):
+        code, out, stderr = run("classify", *argv, "--format", "text")
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
 class TestDiagnostics:
@@ -116,6 +136,13 @@ class TestConstruct:
         assert err.startswith("error: k must be")
         assert "Traceback" not in err
 
+    def test_canonical_beyond_element_bound_exits_two(self):
+        code, out, err = run("construct", "--kind", "canonical",
+                             "--graph", write_graph6(path_graph(21)))
+        assert (code, out) == (2, "")
+        assert err == ("error: sum 524288+1048576=1572864 of pair (524288,1048576) "
+                       "exceeds bound 1048576\n")
+
     def test_weakly_uniform(self):
         code, out, _ = run("construct", "--kind", "weakly-uniform",
                            "--graph", "Cl", "--k", "3")
@@ -167,6 +194,12 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and field in err
+
+    def test_minsize_ignores_size_bound(self):
+        # the label-universe cap belongs to the k-uniform search only
+        outs = [run("minsize", "--graph", "Bw", "--element-bound", "12",
+                    "--size-bound", s, "--format", "text") for s in ("4", "3")]
+        assert outs[0] == outs[1] == (0, "2 with witness [[0], [1], [0, 1]]\n", "")
 
     def test_uniform_mode_flag(self):
         code, out, _ = run("uniform", "--graph", "Bw", "--k", "3",
@@ -305,6 +338,24 @@ class TestBatch:
         assert code == 1
         assert lines[0]["report"]["is_iasl"] is True
         assert lines[1]["report"]["is_iasl"] is False
+
+    def test_malformed_labeling_line_reported_in_place(self, tmp_path):
+        path = tmp_path / "labelings.jsonl"
+        path.write_text(
+            '{"graph6": "A_", "labels": [[1], [2]]}\n'
+            '{"graph6": "A_", "labels": [[0], 5]}\n'
+            '{"graph6": "A_", "labels": [[0], [true]]}\n'
+            '{"graph6": "A_", "labels": [[1], [1]]}\n'
+        )
+        code, out, _ = run("classify", "--labels", str(path))
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert code == 2
+        assert lines[0]["report"]["is_iasl"] is True
+        assert lines[1:3] == [
+            {"error": 'line 2: labeling JSON: "labels" must be a list of integer lists'},
+            {"error": "line 3: labeling JSON: elements must be integers"},
+        ]
+        assert lines[3]["report"]["is_iasl"] is False
 
     def test_classify_batch_rejects_graph_flag(self, tmp_path):
         path = tmp_path / "labelings.jsonl"

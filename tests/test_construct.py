@@ -15,7 +15,7 @@ from iasltools.graph import (
     complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
     star_graph,
 )
-from iasltools.intset import iset
+from iasltools.intset import ElementBoundError, iset
 from iasltools.labeling import SetLabeling, classify
 
 
@@ -36,6 +36,11 @@ class TestCanonical:
                 out = canonical_iasi(g)
                 assert not out.repaired
                 assert out.report.is_iasl and out.report.is_iasi
+
+    def test_fixed_element_bound_guards_large_graphs(self):
+        # {2^20} is within the bound, the edge sum 2^19 + 2^20 is not
+        with pytest.raises(ElementBoundError):
+            canonical_iasi(path_graph(21))
 
     def test_formula_report_equals_report_when_untouched(self):
         out = canonical_iasi(cycle_graph(4))

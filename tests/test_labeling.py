@@ -199,3 +199,26 @@ class TestJson:
             labeling_from_json({"graph6": "A_"})
         with pytest.raises((LabelingError, ValueError)):
             labeling_from_json({"graph6": "A_", "labels": [[0]]})
+
+    @pytest.mark.parametrize("payload", [
+        {"graph6": 5, "labels": [[0], [1]]},
+        {"graph6": "A_", "labels": 5},
+        {"graph6": "A_", "labels": [[0], 5]},
+        {"graph6": "A_", "labels": [[0], "ab"]},
+        # JSON text is parsed by the caller, not here
+        '{"graph6": "A_", "labels": [[0], [1]]}',
+    ], ids=["graph6-int", "labels-int", "label-int", "label-str", "json-text"])
+    def test_ill_typed_payload_is_a_labeling_error(self, payload):
+        with pytest.raises(LabelingError):
+            labeling_from_json(payload)
+
+
+class TestKUniform:
+    def test_edgeless_graph_is_k_uniform_for_every_k(self):
+        rep = classify(lab(empty_graph(3), 0, 1, 2))
+        assert all(rep.is_k_uniform(k) for k in range(1, 6))
+
+    def test_graph_with_an_edge_is_not_k_uniform_for_a_wrong_k(self):
+        rep = classify(lab(path_graph(2), (0, 1), 2))    # edge label {2,3}
+        assert rep.is_k_uniform(2)
+        assert not rep.is_k_uniform(1) and not rep.is_k_uniform(3)

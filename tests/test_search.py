@@ -38,17 +38,18 @@ class TestConfig:
         {"size_bound": 0},
         {"time_budget": -0.5},
         {"time_budget": float("nan")},
-        # 1,092 labels over {0..12}, one over 1,023 with all of {0..9}
+        # valid configs, but 1,092 labels over {0..12} and 2,035 over
+        # {0..10} exceed the 1,023 that the k-uniform search tabulates
         {"element_bound": 12},
         {"element_bound": 10, "size_bound": 9},
     ])
     def test_meaningless_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SearchConfig(**kwargs)
+            find_k_uniform(complete_graph(2), 2, SearchConfig(**kwargs))
 
     @pytest.mark.parametrize("bounds", [
         (8, 4), (8, 9), (6, 3), (5, 3), (5, 2), (1, 4), (0, 1), (9, 9), (10, 4),
-        (12, 3),
+        (12, 3), (12, 4), (10, 9),
     ])
     def test_documented_bounds_accepted(self, bounds):
         element_bound, size_bound = bounds
