@@ -432,6 +432,8 @@ def main(argv=None) -> int:
                 "product": _run_product,
                 "convert": _run_convert,
             }[ns.command]
+            if ns.command == "uniform":
+                cfg.check_label_universe()
             worker = lambda line: runner(ns, cfg, line)
 
         results = _map_lines(lines, worker, batch)

@@ -556,19 +556,42 @@ def _check_max_identity_iff_singleton(check, d):
     return {"pairs": len(subsets) ** 2}
 
 
+def _unrank(index: int, nlab: int, n: int) -> list[int]:
+    """The index-th (from 0) tuple of iproduct(range(nlab), repeat=n)."""
+    combo = [0] * n
+    for p in range(n - 1, -1, -1):
+        index, combo[p] = divmod(index, nlab)
+    return combo
+
+
 def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
-    """Exhaustive per-labeling comparison, classify cross-checked on a stride."""
+    """Per-labeling comparison of two per-edge tables, classify cross-checked
+    on every 199th labeling counted across graphs.
+
+    Each side of a labeling is the conjunction of its edges' table entries,
+    so equal tables agree on every labeling and only the cross-checked ones
+    are visited, unranked from their index; unequal tables are walked.
+    """
     labels = _labels(d)
     nlab = len(labels)
     lhs = [[lhs_table(a, b) for b in labels] for a in labels]
     rhs = [[rhs_table(a, b) for b in labels] for a in labels]
     isets = [IntegerSet(s) for s in labels]
+    walk = lhs != rhs
+
+    def visited(n: int, start: int):
+        """(index, combo) of one graph's labelings, indexed from start + 1."""
+        if walk:
+            return enumerate(iproduct(range(nlab), repeat=n), start + 1)
+        first = start + 199 - start % 199
+        return ((index, _unrank(index - start - 1, nlab, n))
+                for index in range(first, start + nlab ** n + 1, 199))
+
     cases = 0
     cross = 0
     for g in d.graphs:
         edges = g.edges
-        for combo in iproduct(range(nlab), repeat=g.vertex_count):
-            cases += 1
+        for index, combo in visited(g.vertex_count, cases):
             left = all(lhs[combo[u]][combo[v]] for u, v in edges)
             right = all(rhs[combo[u]][combo[v]] for u, v in edges)
             if left != right:
@@ -577,7 +600,7 @@ def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
                     "labels": [list(labels[i]) for i in combo],
                     "classify_side": left, "structure_side": right,
                 })
-            if cases % 199 == 0:
+            if index % 199 == 0:
                 f = SetLabeling(g, [isets[i] for i in combo])
                 if lhs_fn(f) != left or rhs_fn(f)[0] != right:
                     _fail(check, {
@@ -586,6 +609,7 @@ def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
                         "note": "table path disagrees with classify path",
                     })
                 cross += 1
+        cases += nlab ** g.vertex_count
     return {"labelings": cases, "classify_crosschecks": cross}
 
 
@@ -846,5 +870,11 @@ def run_suite(
     corpus: Corpus | None = None,
     config: SearchConfig | None = None,
 ) -> SuiteResult:
-    """Run every registered check; results in registry order."""
+    """Run every registered check; results in registry order.
+
+    Bounds the k-uniform checks would reject raise ValueError before any
+    check runs.
+    """
+    config = config if config is not None else SearchConfig()
+    config.check_label_universe()
     return SuiteResult([run_check(i, corpus, config) for i in CHECK_IDS])

@@ -41,7 +41,7 @@ class SearchConfig:
     Rejected with ValueError: an element_bound outside
     0..MAX_ELEMENT_BOUND, a size_bound below 1, and a negative or NaN
     time_budget.  find_k_uniform also rejects bounds whose label universe
-    has more than MAX_LABELS members (see _universe).
+    has more than MAX_LABELS members (see check_label_universe).
     """
 
     element_bound: int = 8
@@ -57,6 +57,18 @@ class SearchConfig:
         if not self.time_budget >= 0:
             raise ValueError(
                 f"time_budget must be a non-negative number, got {self.time_budget}"
+            )
+
+    def check_label_universe(self) -> None:
+        """Raise ValueError if more than MAX_LABELS labels lie within these
+        bounds, since the k-uniform search tabulates every pair of them.
+        Counts the labels without building them."""
+        b, s = self.element_bound, self.size_bound
+        count = sum(comb(b + 1, size) for size in range(1, s + 1))
+        if count > MAX_LABELS:
+            raise ValueError(
+                f"{count} labels within {{0..{b}}} of size <= {s} "
+                f"exceed the cap of {MAX_LABELS}; lower element_bound or size_bound"
             )
 
     def to_json(self) -> dict:
@@ -126,22 +138,6 @@ def _subsets(elements) -> list[tuple[int, ...]]:
     return out[1:]
 
 
-@lru_cache(maxsize=32)
-def _universe(element_bound: int, size_bound: int) -> tuple[tuple[int, ...], ...]:
-    """All candidate labels, ascending by element bitmask.
-
-    Rejected with ValueError above MAX_LABELS labels, since the k-uniform
-    search tabulates every pair of them.
-    """
-    labels = tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
-    if len(labels) > MAX_LABELS:
-        raise ValueError(
-            f"{len(labels)} labels within {{0..{element_bound}}} of size <= {size_bound} "
-            f"exceed the cap of {MAX_LABELS}; lower element_bound or size_bound"
-        )
-    return labels
-
-
 def _sum_keys(labels) -> list[list[int]]:
     """Sum-set bitmask of every ordered pair of labels, by shift-OR."""
     masks = [sum(1 << e for e in lab) for lab in labels]
@@ -160,9 +156,34 @@ def _sum_keys(labels) -> list[list[int]]:
 
 @lru_cache(maxsize=32)
 def _pair_tables(element_bound: int, size_bound: int):
-    """Every candidate label and the sum-set key of every pair of them."""
-    labels = _universe(element_bound, size_bound)
+    """Every candidate label, ascending by element bitmask, and the sum-set
+    key of every pair of them."""
+    labels = tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
     return labels, _sum_keys(labels)
+
+
+@lru_cache(maxsize=32)
+def _allow_lists(element_bound: int, size_bound: int, k: int, mode: str):
+    """For each label, the labels allowed next to it in the k-uniform
+    search, as an ascending tuple and as a frozenset: the pair's sum set
+    has k elements and, in mode "weak", one of them is a singleton, in
+    mode "strong", |A||B| elements.  Immutable, since calls share them."""
+    labels, key = _pair_tables(element_bound, size_bound)
+
+    def pair_ok(i: int, j: int) -> bool:
+        size = key[i][j].bit_count()
+        if size != k:
+            return False
+        if mode == "weak":
+            return min(len(labels[i]), len(labels[j])) == 1
+        if mode == "strong":
+            return size == len(labels[i]) * len(labels[j])
+        return True
+
+    allowed = tuple(
+        tuple(j for j in range(len(labels)) if pair_ok(i, j)) for i in range(len(labels))
+    )
+    return allowed, tuple(frozenset(row) for row in allowed)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -323,26 +344,15 @@ def find_k_uniform(
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     config = config or SearchConfig()
+    config.check_label_universe()
     labels, key = _pair_tables(config.element_bound, config.size_bound)
-    nlab = len(labels)
     deadline = _Deadline(config.time_budget)
     space = (
         f"labels within {{0..{config.element_bound}}} of size <= {config.size_bound}"
         + ("" if mode == "any" else f", {mode} edges only")
     )
 
-    def pair_ok(i: int, j: int) -> bool:
-        size = key[i][j].bit_count()
-        if size != k:
-            return False
-        if mode == "weak":
-            return min(len(labels[i]), len(labels[j])) == 1
-        if mode == "strong":
-            return size == len(labels[i]) * len(labels[j])
-        return True
-
-    allowed = [[j for j in range(nlab) if pair_ok(i, j)] for i in range(nlab)]
-    compat = allowed, [set(row) for row in allowed]
+    compat = _allow_lists(config.element_bound, config.size_bound, k, mode)
     try:
         found = _backtrack(g, labels, compat, key, deadline)
     except BudgetExceeded:

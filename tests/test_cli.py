@@ -6,8 +6,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from iasltools import oracle
 from iasltools.cli import main
 from iasltools.graph import path_graph, write_graph6
+
+
+CAP_12_4 = ("error: 1092 labels within {0..12} of size <= 4 exceed the cap of 1023; "
+            "lower element_bound or size_bound\n")
 
 
 def run(*argv):
@@ -243,6 +248,12 @@ class TestOracleCommand:
         assert code == 0
         assert "3" in json.loads(out)["result"]["corpus"]
 
+    def test_rejected_label_universe_runs_no_check(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(oracle, "run_check", lambda cid, *a: ran.append(cid))
+        assert run("oracle", "run", "all", "--element-bound", "12") == (2, "", CAP_12_4)
+        assert ran == []
+
 
 class TestProductConvert:
     def test_cartesian(self):
@@ -318,6 +329,12 @@ class TestBatch:
             "line 1: k must be at least 2, got 1",
             "line 2: k must be at least 2, got 1",
         ]
+
+    def test_rejected_label_universe_is_one_error(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text("Bw\nCr\nD~{\n")
+        assert run("uniform", "--graph", str(path), "--k", "2",
+                   "--element-bound", "12") == (2, "", CAP_12_4)
 
     def test_parallel_is_byte_identical(self, tmp_path):
         path = tmp_path / "graphs.g6"

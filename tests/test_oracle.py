@@ -1,15 +1,21 @@
 """The claim-check registry: verdicts, fault injection, certificates."""
 
+import dataclasses
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from iasltools.graph import (
-    complete_graph, cycle_graph, parse_graph6, path_graph, star_graph,
+    complete_graph, cycle_graph, empty_graph, parse_graph6, path_graph, star_graph,
+    write_graph6,
 )
 from iasltools import oracle
 from iasltools.intset import IntegerSet, sumset
-from iasltools.labeling import SetLabeling, classify
+from iasltools.labeling import (
+    SetLabeling, classify, strong_structure_check, weak_structure_check,
+)
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
 from iasltools.search import SearchConfig
 
@@ -23,6 +29,50 @@ def broken_sumset(a, b):
 
 
 SMALL = Corpus(max_vertices=3, max_element=3)
+
+WEAK_STRONG = ("weak-iff-singleton-endpoints", "strong-iff-disjoint-differences")
+
+# over the 14 labels within {0..3}: 196 + 1 + 1 + 1 labelings put the first
+# stride-199 cross-check on the last labeling of a graph, a 0-vertex one
+STRIDE_GRAPHS = (path_graph(2), empty_graph(0), empty_graph(0), empty_graph(0),
+                 path_graph(3), complete_graph(3), star_graph(3))
+STRIDE_CORPUS = Corpus(graphs=STRIDE_GRAPHS, max_element=3, max_label_size=3)
+
+
+def labels_up_to(max_element, max_size):
+    """Non-empty subsets of {0..max_element} of at most max_size elements,
+    ascending by bitmask."""
+    return [
+        tuple(e for e in range(max_element + 1) if mask >> e & 1)
+        for mask in range(1, 1 << (max_element + 1))
+        if bin(mask).count("1") <= max_size
+    ]
+
+
+def reference_walk(graphs, labels, lhs_table, rhs_table, lhs_fn, rhs_fn):
+    """Every labeling of every graph in itertools.product order, compared on
+    both tables, with lhs_fn and rhs_fn checked on every 199th labeling:
+    the first five records and the number of labelings."""
+    records = []
+    index = 0
+    for g in graphs:
+        for combo in itertools.product(labels, repeat=g.vertex_count):
+            index += 1
+            left = all(lhs_table(combo[u], combo[v]) for u, v in g.edges)
+            right = all(rhs_table(combo[u], combo[v]) for u, v in g.edges)
+            if left != right:
+                records.append({
+                    "graph6": write_graph6(g), "labels": [list(s) for s in combo],
+                    "classify_side": left, "structure_side": right,
+                })
+            if index % 199 == 0:
+                f = SetLabeling(g, [IntegerSet(s) for s in combo])
+                if lhs_fn(f) != left or rhs_fn(f)[0] != right:
+                    records.append({
+                        "graph6": write_graph6(g), "labels": [list(s) for s in combo],
+                        "note": "table path disagrees with classify path",
+                    })
+    return records[:5], index
 
 
 class TestRegistry:
@@ -193,6 +243,60 @@ class TestFaultInjection:
                           sumset_fn=sumset)
         assert check.verdict == "pass"
 
+    @pytest.mark.parametrize("cid, attr", [
+        ("weak-iff-singleton-endpoints", "is_weak"),
+        ("strong-iff-disjoint-differences", "is_strong"),
+    ])
+    def test_flipped_classify_is_caught(self, monkeypatch, cid, attr):
+        def flipped(f):
+            report = classify(f)
+            return dataclasses.replace(report, **{attr: not getattr(report, attr)})
+
+        monkeypatch.setattr(oracle, "classify", flipped)
+        check = run_check(cid, corpus=STRIDE_CORPUS)
+        assert check.verdict == "counterexample"
+        assert check.counterexamples[0]["note"] == \
+            "table path disagrees with classify path"
+
+    @pytest.mark.parametrize("name, cid, real", [
+        ("weak_structure_check", "weak-iff-singleton-endpoints", weak_structure_check),
+        ("strong_structure_check", "strong-iff-disjoint-differences",
+         strong_structure_check),
+    ])
+    def test_broken_structure_check_is_caught(self, monkeypatch, name, cid, real):
+        monkeypatch.setattr(oracle, name, lambda f: (not real(f)[0], None))
+        check = run_check(cid, corpus=STRIDE_CORPUS)
+        assert check.verdict == "counterexample"
+        assert all("note" in r for r in check.counterexamples)
+
+    @pytest.mark.parametrize("mutant, in_both_tables", [
+        (lambda a, b: (a, b) == ((1,), (0,)), False),
+        (lambda a, b: True, False),
+        # equal tables: only the cross-checks can see it
+        (lambda a, b: (a, b) == ((1,), (0,)), True),
+    ])
+    def test_mutant_table_gives_the_walk_counterexamples(self, mutant, in_both_tables):
+        def lhs(a, b):
+            sums = {x + y for x in a for y in b}
+            return (len(sums) == max(len(a), len(b))) != mutant(a, b)
+
+        def rhs(a, b):
+            return (min(len(a), len(b)) == 1) != (in_both_tables and mutant(a, b))
+
+        def is_weak(f):
+            return classify(f).is_weak
+
+        d = oracle._Domain(list(STRIDE_GRAPHS), 3, 3, None, SearchConfig(), None)
+        check = oracle.TheoremCheck("mutant", "", d.config, "pass")
+        details = oracle._weak_strong_engine(check, d, lhs, rhs, is_weak,
+                                             weak_structure_check)
+        records, labelings = reference_walk(STRIDE_GRAPHS, labels_up_to(3, 3), lhs, rhs,
+                                            is_weak, weak_structure_check)
+        assert records
+        assert check.verdict == "counterexample"
+        assert check.counterexamples == records
+        assert details == {"labelings": labelings, "classify_crosschecks": labelings // 199}
+
 
 class TestCounterexampleCertificates:
     def test_total_graph_record_is_self_contained(self):
@@ -260,6 +364,38 @@ class TestSpecificChecks:
             check = run_check(cid, corpus=corpus)
             assert check.verdict == "pass"
             assert check.details["classify_crosschecks"] > 0
+
+
+class TestWeakStrongCoverage:
+    @pytest.mark.parametrize("cid", WEAK_STRONG)
+    def test_crosschecks_are_the_product_walks_every_199th(self, monkeypatch, cid):
+        seen = []
+
+        def recording(f):
+            seen.append((write_graph6(f.graph), [l.to_list() for l in f.labels]))
+            return classify(f)
+
+        monkeypatch.setattr(oracle, "classify", recording)
+        check = run_check(cid, corpus=STRIDE_CORPUS)
+        walk = [
+            (write_graph6(g), [list(s) for s in combo])
+            for g in STRIDE_GRAPHS
+            for combo in itertools.product(labels_up_to(3, 3), repeat=g.vertex_count)
+        ]
+        assert check.verdict == "pass"
+        assert seen == walk[198::199]
+        assert check.details == {"labelings": len(walk),
+                                 "classify_crosschecks": len(walk) // 199}
+
+    @pytest.mark.parametrize("cid, digest", [
+        ("weak-iff-singleton-endpoints",
+         "7899f967535263487836954e700d5f11e4ee548a5c07fe4fad5d720543945cca"),
+        ("strong-iff-disjoint-differences",
+         "244f7105a16808b805adeaa443fe51df51e79a96758b5f49cbe173618adbb9cd"),
+    ])
+    def test_default_domain_output_pinned(self, cid, digest):
+        text = json.dumps(run_check(cid).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTracedNames:
