@@ -570,28 +570,22 @@ def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
 
     Each side of a labeling is the conjunction of its edges' table entries,
     so equal tables agree on every labeling and only the cross-checked ones
-    are visited, unranked from their index; unequal tables are walked.
+    are visited; unequal tables visit every labeling. Each visited labeling
+    is unranked from its index.
     """
     labels = _labels(d)
     nlab = len(labels)
     lhs = [[lhs_table(a, b) for b in labels] for a in labels]
     rhs = [[rhs_table(a, b) for b in labels] for a in labels]
     isets = [IntegerSet(s) for s in labels]
-    walk = lhs != rhs
-
-    def visited(n: int, start: int):
-        """(index, combo) of one graph's labelings, indexed from start + 1."""
-        if walk:
-            return enumerate(iproduct(range(nlab), repeat=n), start + 1)
-        first = start + 199 - start % 199
-        return ((index, _unrank(index - start - 1, nlab, n))
-                for index in range(first, start + nlab ** n + 1, 199))
-
+    step = 1 if lhs != rhs else 199
     cases = 0
     cross = 0
     for g in d.graphs:
         edges = g.edges
-        for index, combo in visited(g.vertex_count, cases):
+        n = g.vertex_count
+        for index in range(cases + step - cases % step, cases + nlab ** n + 1, step):
+            combo = _unrank(index - cases - 1, nlab, n)
             left = all(lhs[combo[u]][combo[v]] for u, v in edges)
             right = all(rhs[combo[u]][combo[v]] for u, v in edges)
             if left != right:
@@ -609,7 +603,7 @@ def _weak_strong_engine(check, d, lhs_table, rhs_table, lhs_fn, rhs_fn):
                         "note": "table path disagrees with classify path",
                     })
                 cross += 1
-        cases += nlab ** g.vertex_count
+        cases += nlab ** n
     return {"labelings": cases, "classify_crosschecks": cross}
 
 

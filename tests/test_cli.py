@@ -254,6 +254,12 @@ class TestOracleCommand:
         assert run("oracle", "run", "all", "--element-bound", "12") == (2, "", CAP_12_4)
         assert ran == []
 
+    def test_rejected_label_universe_exits_two_even_if_no_search_runs(self):
+        # every connected graph on at most 2 vertices is bipartite, so no
+        # uniform check would search; the cap is still checked up front
+        assert run("oracle", "run", "all", "--max-vertices", "2",
+                   "--element-bound", "12") == (2, "", CAP_12_4)
+
 
 class TestProductConvert:
     def test_cartesian(self):
