@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    Graph, GraphError, contract_edge, corona, induced_subgraph, is_bipartite,
-    join, line_graph, pair_id, product, rooted_product, subdivide_edge,
-    total_graph, union,
+    Graph, GraphError, complement, contract_edge, corona, induced_subgraph,
+    is_bipartite, join, line_graph, pair_id, product, rooted_product,
+    subdivide_edge, total_graph, union,
 )
 from .intset import IntegerSet, integral_multiple, sumset
-from .labeling import ClassificationReport, SetLabeling, classify
+from .labeling import ClassificationReport, SetLabeling, classify, labeling_to_json
 
 __all__ = [
     "ConstructionOutcome", "NoConstruction", "RepairEntry", "ConstructionError",
@@ -56,7 +56,6 @@ class ConstructionOutcome:
     note: str = ""
 
     def to_json(self) -> dict:
-        from .labeling import labeling_to_json
         return {
             "constructed": True,
             "labeling": labeling_to_json(self.labeling),
@@ -290,8 +289,7 @@ def induced_labeling(
     if kind == "complement":
         if f2 is not None:
             raise ConstructionError("complement takes a single labeling")
-        from .graph import complement as _complement
-        return _finalize(_complement(f1.graph), list(f1.labels),
+        return _finalize(complement(f1.graph), list(f1.labels),
                          note="labels kept on complement")
     f2 = _require(f2, "second")
     if kind == "union":
@@ -375,15 +373,22 @@ def subdivision_labeling(f: SetLabeling, edge: tuple[int, int]) -> ConstructionO
     return _finalize(graph, labels, note=f"new vertex gets label of edge ({u},{v})")
 
 
+def _contract(graph: Graph, labels, u: int, v: int) -> tuple[Graph, list[IntegerSet]]:
+    """Contract edge uv (u < v); the merged vertex takes labels[u] + labels[v]
+    and every other label follows its vertex."""
+    res = contract_edge(graph, (u, v))
+    merged: list[IntegerSet | None] = [None] * res.graph.vertex_count
+    for old in graph.vertices():
+        merged[res.vertex_map[old]] = labels[old]
+    merged[res.vertex_map[u]] = sumset(labels[u], labels[v])
+    return res.graph, merged
+
+
 def contraction_labeling(f: SetLabeling, edge: tuple[int, int]) -> ConstructionOutcome:
     """The merged vertex takes f(u) + f(v); everything else is carried over."""
     u, v = min(edge), max(edge)
-    res = contract_edge(f.graph, (u, v))
-    labels: list[IntegerSet | None] = [None] * res.graph.vertex_count
-    for old in f.graph.vertices():
-        labels[res.vertex_map[old]] = f.labels[old]
-    labels[res.vertex_map[u]] = sumset(f.labels[u], f.labels[v])
-    return _finalize(res.graph, labels, note=f"merged vertex gets sum of ({u},{v})")
+    graph, labels = _contract(f.graph, f.labels, u, v)
+    return _finalize(graph, labels, note=f"merged vertex gets sum of ({u},{v})")
 
 
 def minor_labeling(f: SetLabeling, script) -> ConstructionOutcome:
@@ -409,14 +414,7 @@ def minor_labeling(f: SetLabeling, script) -> ConstructionOutcome:
                           tuple(e for e in graph.edges if e != (u, v)),
                           names=graph.names)
         elif step == "contract":
-            u, v = min(arg), max(arg)
-            res = contract_edge(graph, (u, v))
-            new_labels: list[IntegerSet | None] = [None] * res.graph.vertex_count
-            for old in graph.vertices():
-                new_labels[res.vertex_map[old]] = labels[old]
-            new_labels[res.vertex_map[u]] = sumset(labels[u], labels[v])
-            labels = new_labels
-            graph = res.graph
+            graph, labels = _contract(graph, labels, min(arg), max(arg))
         else:
             raise ConstructionError(f"unknown minor step {step!r}")
     return _finalize(graph, labels,

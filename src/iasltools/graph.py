@@ -218,7 +218,7 @@ def _odd_cycle(parent: list[int], v: int, w: int) -> tuple[int, ...]:
 # unary and binary operations
 
 def complement(g: Graph) -> Graph:
-    edges = tuple(p for p in combinations(range(g.vertex_count), 2) if p not in set(g.edges))
+    edges = tuple(p for p in combinations(range(g.vertex_count), 2) if not g.has_edge(*p))
     return Graph(g.vertex_count, edges, names=g.names)
 
 
@@ -394,12 +394,7 @@ def total_graph(g: Graph) -> TotalGraphResult:
     """Vertices are V(g) + E(g); adjacency, edge adjacency, incidence."""
     n = g.vertex_count
     base = g.edges
-    edges = list(g.edges)
-    for k, (u, v) in enumerate(base):
-        for l in range(k + 1, len(base)):
-            x, y = base[l]
-            if u in (x, y) or v in (x, y):
-                edges.append((n + k, n + l))
+    edges = list(base) + [(n + k, n + l) for k, l in line_graph(g).graph.edges]
     for k, (u, v) in enumerate(base):
         edges.append((u, n + k))
         edges.append((v, n + k))

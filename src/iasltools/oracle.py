@@ -11,14 +11,11 @@ re-verified with the arithmetic and classification primitives alone.
 Each check is registered with `_check`, which declares its domain
 description and defaults; `run_check` resolves a `Corpus` against them
 and reports empty domains and exhausted search budgets as inconclusive.
-
-The identity checks accept an injectable sum-set function so tests can
-corrupt the arithmetic and watch the check catch it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from itertools import product as iproduct
 from typing import Callable
@@ -98,18 +95,6 @@ class TheoremCheck:
 # registration and domain resolution
 
 @dataclass(frozen=True)
-class _Domain:
-    """What a check runs over: the corpus overrides, else its defaults."""
-
-    graphs: list[Graph] | None
-    max_element: int | None
-    max_label_size: int | None
-    ks: tuple[int, ...] | None
-    config: SearchConfig
-    sumset_fn: Callable | None
-
-
-@dataclass(frozen=True)
 class _Spec:
     run: Callable
     corpus: str
@@ -130,7 +115,7 @@ def _check(check_id: str, corpus: str, *, graphs=None, max_element=None,
     {ks}.  graphs is the default graph family, a function of the vertex
     cap returning (graphs, description); checks without one ignore
     Corpus.graphs.  default_note is appended when that family is used.
-    The function takes the TheoremCheck and the _Domain, reports
+    The function takes the TheoremCheck and the resolved Corpus, reports
     counterexamples with _fail, and returns the check's details.
     """
     defaults = Corpus(max_element=max_element, max_label_size=max_label_size, ks=ks)
@@ -146,10 +131,10 @@ def _enumerated(connected: bool):
 
     def family(max_n: int | None):
         max_n = 4 if max_n is None else max_n
-        graphs = [
+        graphs = tuple(
             g for n in range(max_n + 1)
             for g in enumerate_graphs(n, connected_only=connected)
-        ]
+        )
         return graphs, f"all {kind} on up to {max_n} vertices"
     return family
 
@@ -159,18 +144,18 @@ _CONNECTED_GRAPHS = _enumerated(connected=True)
 
 
 def _sparse_graphs(max_n):
-    graphs = [g for n in range(5) for g in enumerate_graphs(n) if g.edge_count <= 4]
+    graphs = tuple(g for n in range(5) for g in enumerate_graphs(n) if g.edge_count <= 4)
     return graphs, "graphs with <= 4 vertices and <= 4 edges"
 
 
 def _ratio_graphs(max_n):
-    graphs = [path_graph(3), path_graph(4), star_graph(3), complete_graph(3),
-              cycle_graph(4)]
+    graphs = (path_graph(3), path_graph(4), star_graph(3), complete_graph(3),
+              cycle_graph(4))
     return graphs, "connected test graphs"
 
 
 def _path_graphs(max_n):
-    return [path_graph(n) for n in range(1, 6)], "path graphs on 1..5 vertices"
+    return tuple(path_graph(n) for n in range(1, 6)), "path graphs on 1..5 vertices"
 
 
 def _subsets(max_element: int) -> list[tuple[int, ...]]:
@@ -180,7 +165,7 @@ def _subsets(max_element: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _labels(d: _Domain) -> list[tuple[int, ...]]:
+def _labels(d: Corpus) -> list[tuple[int, ...]]:
     return [s for s in _subsets(d.max_element) if len(s) <= d.max_label_size]
 
 
@@ -258,7 +243,7 @@ def _check_heredity(check, d):
 @_check("ground-set-lower-bound", "{graphs}", graphs=_CONNECTED_GRAPHS)
 def _check_ground_set_lower_bound(check, d):
     for g in d.graphs:
-        size, cert = min_ground_set_size(g, d.config)
+        size, cert = min_ground_set_size(g, check.config)
         _settled(cert)
         lower = g.vertex_count.bit_length()
         if size is None or size < lower:
@@ -296,20 +281,17 @@ def _sums_of(a, b):
     return frozenset(x + y for x in a for y in b)
 
 
-def _size_rows(max_element: int, subsets, sumset_fn):
-    """Yield, for each a in subsets, the list of |a + b| over b in subsets.
+def _size_table(labels) -> list[list[int]]:
+    """|a + b| for every pair of labels, both indexed like labels."""
+    return [[len(_sums_of(a, b)) for b in labels] for a in labels]
 
-    subsets is _subsets(max_element), where subset i has bit mask i + 1.
-    Without sumset_fn the sizes come from shift-OR on those masks, built
-    up one top bit at a time, so no intset arithmetic is involved; with
-    it, from the injected function on sets built once each.
-    """
-    if sumset_fn is not None:
-        sets = [IntegerSet(s) for s in subsets]
-        for sa in sets:
-            yield [len(frozenset(sumset_fn(sa, sb).elements)) for sb in sets]
-        return
-    for ma in range(1, len(subsets) + 1):
+
+def _size_rows(max_element: int):
+    """Yield, for each a in _subsets(max_element), the list of |a + b| over
+    b in that list.  Subset i has bit mask i + 1; the sizes come from
+    shift-OR on those masks, built up one top bit at a time, so no intset
+    arithmetic is involved."""
+    for ma in range(1, 1 << (max_element + 1)):
         sums = [0]
         for t in range(max_element + 1):
             shifted = ma << t
@@ -331,7 +313,7 @@ _PAIRS = "all pairs of non-empty subsets of {{0..{max_element}}}"
 @_check("edge-size-bounds", _ORDERED_PAIRS, max_element=8)
 def _check_edge_size_bounds(check, d):
     subsets = _subsets(d.max_element)
-    for a, sizes in zip(subsets, _size_rows(d.max_element, subsets, d.sumset_fn)):
+    for a, sizes in zip(subsets, _size_rows(d.max_element)):
         la = len(a)
         for b, size in zip(subsets, sizes):
             lb = len(b)
@@ -346,7 +328,7 @@ def _check_size_product_minus_neglect(check, d):
     subsets = _subsets(d.max_element)
     top = 2 * d.max_element + 1
     polys = _count_polys(subsets)
-    rows = _size_rows(d.max_element, subsets, d.sumset_fn)
+    rows = _size_rows(d.max_element)
     for a, pa, sizes in zip(subsets, polys, rows):
         la = len(a)
         for b, pb, size in zip(subsets, polys, sizes):
@@ -407,14 +389,13 @@ def _ratio_condition(m, ni, nj, ri, rj):
         max_element=4, max_label_size=3)
 def _check_adjacent_edge_ratio(check, d):
     labels = _labels(d)
+    sizes = _size_table(labels)
     degenerate = 0
-    for mid in labels:
+    for mid, row in zip(labels, sizes):
         m = len(mid)
-        for a in labels:
-            sa = len(_sums_of(mid, a))
+        for a, sa in zip(labels, row):
             ra = m * len(a) - sa
-            for b in labels:
-                sb = len(_sums_of(mid, b))
+            for b, sb in zip(labels, row):
                 rb = m * len(b) - sb
                 if len(a) == len(b):
                     degenerate += 1
@@ -456,7 +437,7 @@ _ALL_LABELINGS = (
 def _check_uniform_ratio_condition(check, d):
     labels = _labels(d)
     nlab = len(labels)
-    sizes = [[len(_sums_of(a, b)) for b in labels] for a in labels]
+    sizes = _size_table(labels)
     cases = 0
     for g in d.graphs:
         pairs = _adjacent_edge_pairs(g)
@@ -490,7 +471,7 @@ def _check_uniform_equal_neglect(check, d):
     for l in (1, 2):
         labels = [s for s in _subsets(d.max_element) if len(s) == l]
         nlab = len(labels)
-        sizes = [[len(_sums_of(a, b)) for b in labels] for a in labels]
+        sizes = _size_table(labels)
         for g in d.graphs:
             edges = g.edges
             for combo in iproduct(range(nlab), repeat=g.vertex_count):
@@ -534,7 +515,7 @@ def _check_two_uniform_iff_bipartite(check, d):
             if not _k_uniform_iasi(out, 2):
                 _fail(check, {"graph6": write_graph6(g), "direction": "construct"})
         else:
-            cert = _settled(find_k_uniform(g, 2, d.config))
+            cert = _settled(find_k_uniform(g, 2, check.config))
             searched += 1
             if cert.kind != "exhausted":
                 _fail(check, {
@@ -547,7 +528,7 @@ def _check_two_uniform_iff_bipartite(check, d):
 @_check("max-identity-iff-singleton-endpoint", _PAIRS, max_element=6)
 def _check_max_identity_iff_singleton(check, d):
     subsets = _subsets(d.max_element)
-    for a, sizes in zip(subsets, _size_rows(d.max_element, subsets, d.sumset_fn)):
+    for a, sizes in zip(subsets, _size_rows(d.max_element)):
         for b, size in zip(subsets, sizes):
             hits_max = size == max(len(a), len(b))
             singleton = min(len(a), len(b)) == 1
@@ -627,14 +608,15 @@ def _check_weakly_uniform_iff_bipartite(check, d):
         check.verdict = "inconclusive"
         check.reason = "empty domain"
     for g in d.graphs:
+        bipartite = is_bipartite(g).bipartite
         for k in ks:
-            if is_bipartite(g).bipartite:
+            if bipartite:
                 out = weakly_uniform_iasi(g, k)
                 if not (_k_uniform_iasi(out, k) and out.report.is_weak):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct"})
             else:
-                cert = _settled(find_k_uniform(g, k, d.config, mode="weak"))
+                cert = _settled(find_k_uniform(g, k, check.config, mode="weak"))
                 if cert.kind != "exhausted":
                     _fail(check, {
                         "graph6": write_graph6(g), "k": k, "direction": "search",
@@ -651,7 +633,7 @@ def _check_weakly_uniform_iff_bipartite(check, d):
 def _check_max_sumset_iff_disjoint(check, d):
     subsets = _subsets(d.max_element)
     diffs = [sum(1 << e for e in difference_set(IntegerSet(s))) for s in subsets]
-    rows = _size_rows(d.max_element, subsets, d.sumset_fn)
+    rows = _size_rows(d.max_element)
     for a, da, sizes in zip(subsets, diffs, rows):
         la = len(a)
         for b, db, size in zip(subsets, diffs, sizes):
@@ -687,9 +669,9 @@ def _check_strong_iff_disjoint(check, d):
 def _check_strongly_uniform(check, d):
     branches = {"completely-uniform": 0, "bipartite": 0, "none": 0}
     for g in d.graphs:
+        bip = is_bipartite(g).bipartite
         for k in d.ks:
             square = round(k ** 0.5) ** 2 == k
-            bip = is_bipartite(g).bipartite
             out = strongly_uniform_iasi(g, k)
             if square or bip:
                 ok = _k_uniform_iasi(out, k) and out.report.is_strong
@@ -705,7 +687,7 @@ def _check_strongly_uniform(check, d):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct",
                                   "note": "construction should have refused"})
-                cert = _settled(find_k_uniform(g, k, d.config, mode="strong"))
+                cert = _settled(find_k_uniform(g, k, check.config, mode="strong"))
                 if cert.kind != "exhausted":
                     _fail(check, {
                         "graph6": write_graph6(g), "k": k, "direction": "search",
@@ -792,15 +774,10 @@ def _check_edge_size_is_class_count(check, d):
 CHECK_IDS = tuple(_SPECS)
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
 def run_check(
     check_id: str,
     corpus: Corpus | None = None,
     config: SearchConfig | None = None,
-    sumset_fn=None,
 ) -> TheoremCheck:
     """Run one registered check; unknown ids raise KeyError."""
     if check_id not in _SPECS:
@@ -811,24 +788,22 @@ def run_check(
     note = ""
     if spec.family is not None:
         if corpus.graphs is not None:
-            graphs = list(corpus.graphs)
+            graphs = corpus.graphs
             described = f"{len(graphs)} supplied graphs"
         else:
             graphs, described = spec.family(corpus.max_vertices)
             note = spec.default_note
-    d = _Domain(
-        graphs,
-        _given(corpus.max_element, spec.defaults.max_element),
-        _given(corpus.max_label_size, spec.defaults.max_label_size),
-        _given(corpus.ks, spec.defaults.ks),
-        config if config is not None else SearchConfig(),
-        sumset_fn,
-    )
+    overrides = {
+        name: value for name in ("max_element", "max_label_size", "ks")
+        if (value := getattr(corpus, name)) is not None
+    }
+    d = replace(spec.defaults, graphs=graphs, **overrides)
     description = spec.corpus.format(
         graphs=described, max_element=d.max_element,
         max_label_size=d.max_label_size, ks=sorted(d.ks or ()),
     )
-    check = TheoremCheck(check_id, description + note, d.config, "pass")
+    config = config if config is not None else SearchConfig()
+    check = TheoremCheck(check_id, description + note, config, "pass")
     if graphs is not None and not graphs:
         check.verdict = "inconclusive"
         check.reason = "empty domain"

@@ -20,7 +20,7 @@ from math import comb
 
 from .graph import Graph
 from .intset import IntegerSet
-from .labeling import SetLabeling, classify, ground_set
+from .labeling import SetLabeling, classify, ground_set, labeling_to_json
 
 __all__ = [
     "SearchConfig", "Certificate", "BudgetExceeded",
@@ -88,7 +88,6 @@ class Certificate:
     data: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        from .labeling import labeling_to_json
         out = {
             "kind": self.kind,
             "config": self.config.to_json(),

@@ -292,6 +292,12 @@ class TestProductConvert:
         payload = json.loads(out)
         assert payload["vertex_count"] == 4
 
+    @pytest.mark.parametrize("kind", ["subdivide", "contract"])
+    def test_negative_endpoint_is_not_an_edge(self, kind):
+        # -1 must not wrap around to the last vertex, which is adjacent to 0
+        assert run("product", "--kind", kind, "--graph", "Bw", "--edge", "-1", "0") == (
+            2, "", f"error: {kind}: edge (-1,0) not in graph\n")
+
     def test_convert_json_preserves_structure(self):
         code, out, _ = run("convert", "--graph", "Bw")
         payload = json.loads(out)

@@ -20,14 +20,6 @@ from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
 from iasltools.search import SearchConfig
 
 
-def broken_sumset(a, b):
-    """Drops the largest sum whenever it can; must be caught."""
-    s = sumset(a, b)
-    if len(s) > 1:
-        return IntegerSet(s.elements[:-1])
-    return s
-
-
 SMALL = Corpus(max_vertices=3, max_element=3)
 
 WEAK_STRONG = ("weak-iff-singleton-endpoints", "strong-iff-disjoint-differences")
@@ -232,16 +224,25 @@ class TestFaultInjection:
         "max-sumset-iff-disjoint-differences",
         "max-identity-iff-singleton-endpoint",
     ])
-    def test_broken_arithmetic_is_caught(self, cid):
-        check = run_check(cid, corpus=Corpus(max_element=3),
-                          sumset_fn=broken_sumset)
+    def test_broken_arithmetic_is_caught(self, monkeypatch, cid):
+        real = oracle._size_rows
+
+        def broken(max_element):
+            # drops one sum whenever it can; must be caught
+            for sizes in real(max_element):
+                yield [size - 1 if size > 1 else size for size in sizes]
+
+        monkeypatch.setattr(oracle, "_size_rows", broken)
+        check = run_check(cid, corpus=Corpus(max_element=3))
         assert check.verdict == "counterexample"
         assert check.counterexamples
 
-    def test_intact_arithmetic_passes_same_domain(self):
-        check = run_check("edge-size-bounds", corpus=Corpus(max_element=3),
-                          sumset_fn=sumset)
-        assert check.verdict == "pass"
+    def test_size_rows_match_sumset(self):
+        # row and column i stand for the subset of {0..5} with bit mask i + 1
+        subsets = [IntegerSet(e for e in range(6) if mask >> e & 1)
+                   for mask in range(1, 64)]
+        rows = list(oracle._size_rows(5))
+        assert rows == [[len(sumset(a, b)) for b in subsets] for a in subsets]
 
     @pytest.mark.parametrize("cid, attr", [
         ("weak-iff-singleton-endpoints", "is_weak"),
@@ -286,9 +287,8 @@ class TestFaultInjection:
         def is_weak(f):
             return classify(f).is_weak
 
-        d = oracle._Domain(list(STRIDE_GRAPHS), 3, 3, None, SearchConfig(), None)
-        check = oracle.TheoremCheck("mutant", "", d.config, "pass")
-        details = oracle._weak_strong_engine(check, d, lhs, rhs, is_weak,
+        check = oracle.TheoremCheck("mutant", "", SearchConfig(), "pass")
+        details = oracle._weak_strong_engine(check, STRIDE_CORPUS, lhs, rhs, is_weak,
                                              weak_structure_check)
         records, labelings = reference_walk(STRIDE_GRAPHS, labels_up_to(3, 3), lhs, rhs,
                                             is_weak, weak_structure_check)
