@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, batch mode, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -309,6 +310,77 @@ class TestProductConvert:
         assert code == 0
         assert out.count("--") == 3
         assert out.count("label=") == 3
+
+
+class TestPinnedPaths:
+    """Exit code and SHA-256 of stdout for command paths that no other
+    test runs in process.  A change that alters these bytes must update
+    the digests on purpose."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("product", "--kind", "union", "--graph", "A_", "--graph2", "A_"), 0,
+         "73595a6f0b6beeab2a8d32050a1c65bdf0f3b6ae39f9a80fa658cba3d61a72a7"),
+        (("product", "--kind", "union", "--graph", "Bw", "--graph2", "A_",
+          "--shared", '{"0": 1}'), 0,
+         "ca12c1286bbea40c1490024cf52f488c62870e76490fd91440296c780181e2e7"),
+        (("product", "--kind", "join", "--graph", "A_", "--graph2", "Bw"), 0,
+         "b1689e24105b0afabb58e4330a7239d09082040659852a40f22ed03d12646ac4"),
+        (("product", "--kind", "corona", "--graph", "A_", "--graph2", "Bw"), 0,
+         "660fa7f618dc80d63b672a80295315fcd943fe88ee8ca46b0d9c8edf23790e1b"),
+        (("product", "--kind", "rooted", "--graph", "Bw", "--graph2", "A_",
+          "--root", "1"), 0,
+         "2cef844abb08fc4c50bb67f91b66b17eeb290c644815193fd17a06ec9a8cf6ed"),
+        (("product", "--kind", "complement", "--graph", "Cr"), 0,
+         "63d6b47099d45ec28d898990a2e5a6bad400115ef078fef2bfe0ddee8a6e3d04"),
+        (("product", "--kind", "total", "--graph", "Bw"), 0,
+         "76de201abc5764c6abb9d8ac1d60de09165c468bceb3a762f7bb311149bfdf3c"),
+        (("product", "--kind", "cartesian", "--graph", "A_", "--graph2", "Bw",
+          "--format", "text"), 0,
+         "cb2d4ab08a1cd851e409923c7f449d680d9b66b965f0a34e4d66e1a0605b80b1"),
+        (("construct", "--kind", "canonical", "--graph", "Bw", "--format", "text"), 0,
+         "46c4fcbb63910c0eb56b4fe2f70991397a15bbfc58754230d2c176e0706f25d3"),
+        (("construct", "--kind", "two-uniform", "--graph", "Bw", "--format", "text"), 1,
+         "6431ea5d3cf5af22ea8233b9539980a71ffae1ad0c0f264bb76bdf85ca9827e4"),
+        (("construct", "--kind", "strongly-uniform", "--graph", "Cr", "--k", "4",
+          "--format", "text"), 0,
+         "cf71a4071600cc1dae917ca6c1545ffa0b20fd3188a86741ab192261b5bb495d"),
+        (("minsize", "--graph", "Bw", "--element-bound", "0"), 1,
+         "66a77878e1fe09111600a25671de50b534a8a8dcf0b86b1e9a0db3699ea7cb41"),
+        (("minsize", "--graph", "Bw", "--element-bound", "0", "--format", "text"), 1,
+         "4ed575b80e239450ac5a222993f307f30776e4807a7f0f5af40929dc5fccad2b"),
+        (("minsize", "--graph", "Bw", "--time-budget", "0"), 3,
+         "96b2f82a65d5126b577f1cf6dffc8912432a1c9d73dcf1c3a70046083b34afc1"),
+        (("minsize", "--graph", "Bw", "--time-budget", "0", "--format", "text"), 3,
+         "16628cde04e2b3b729626b6de4e4c1073e7ad666442486776d0c273c0ff58725"),
+        (("uniform", "--graph", "Bw", "--k", "3", "--format", "text"), 0,
+         "09129384f750f6180bf181758f2ef0ccb6c525b8ba64e535715f06b804f6a9f6"),
+        (("uniform", "--graph", "Bw", "--k", "2", "--element-bound", "6",
+          "--size-bound", "3", "--format", "text"), 1,
+         "0c3a10022925aa4227da8523e4fd3764026599cc64262b17757099fa374b7fce"),
+        (("uniform", "--graph", "Bw", "--k", "3", "--time-budget", "0"), 3,
+         "7dc651a35732f4f42259a04557f073f17d1de0479ed205b10422a776fc5bc461"),
+        (("uniform", "--graph", "Bw", "--k", "3", "--time-budget", "0",
+          "--format", "text"), 3,
+         "16628cde04e2b3b729626b6de4e4c1073e7ad666442486776d0c273c0ff58725"),
+        (("convert", "--graph", "Bw", "--format", "text"), 0,
+         "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e"),
+        (("oracle", "list"), 0,
+         "5ca05ec57b1b9bd8289c3b375cf132072f83b90d4a9115f3fb353ebc61d70665"),
+        (("oracle", "run", "edge-size-bounds", "--max-element", "3",
+          "--format", "text"), 0,
+         "68647562e41855a7fe99cf7df68f4b1c870f33a468e1b9459701f5655ce4113e"),
+    ], ids=[
+        "union", "union-shared", "join", "corona", "rooted", "complement", "total",
+        "product-text", "construct-text", "construct-none-text",
+        "construct-strong-text", "minsize-exhausted", "minsize-exhausted-text",
+        "minsize-budget", "minsize-budget-text", "uniform-witness-text",
+        "uniform-exhausted-text", "uniform-budget", "uniform-budget-text",
+        "convert-text", "oracle-list", "oracle-run-text",
+    ])
+    def test_stdout_digest(self, argv, code, digest):
+        got, out, err = run(*argv)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBatch:
