@@ -334,6 +334,8 @@ class TestPinnedPaths:
          "63d6b47099d45ec28d898990a2e5a6bad400115ef078fef2bfe0ddee8a6e3d04"),
         (("product", "--kind", "total", "--graph", "Bw"), 0,
          "76de201abc5764c6abb9d8ac1d60de09165c468bceb3a762f7bb311149bfdf3c"),
+        (("product", "--kind", "contract", "--graph", "Bw", "--edge", "0", "1"), 0,
+         "38d502b86b7e0df9d5fcb0663265db422d11e9056abc8f0347ac343fa7f6fa24"),
         (("product", "--kind", "cartesian", "--graph", "A_", "--graph2", "Bw",
           "--format", "text"), 0,
          "cb2d4ab08a1cd851e409923c7f449d680d9b66b965f0a34e4d66e1a0605b80b1"),
@@ -369,13 +371,17 @@ class TestPinnedPaths:
         (("oracle", "run", "edge-size-bounds", "--max-element", "3",
           "--format", "text"), 0,
          "68647562e41855a7fe99cf7df68f4b1c870f33a468e1b9459701f5655ce4113e"),
+        (("oracle", "run", "all", "--max-vertices", "2", "--max-element", "2",
+          "--format", "text"), 0,
+         "d00ae3f861a9e4bdafdbd0210705ca1e5ed49d0646ef3fc261ccbc0b80893f2f"),
     ], ids=[
         "union", "union-shared", "join", "corona", "rooted", "complement", "total",
+        "contract",
         "product-text", "construct-text", "construct-none-text",
         "construct-strong-text", "minsize-exhausted", "minsize-exhausted-text",
         "minsize-budget", "minsize-budget-text", "uniform-witness-text",
         "uniform-exhausted-text", "uniform-budget", "uniform-budget-text",
-        "convert-text", "oracle-list", "oracle-run-text",
+        "convert-text", "oracle-list", "oracle-run-text", "oracle-run-all-text",
     ])
     def test_stdout_digest(self, argv, code, digest):
         got, out, err = run(*argv)
