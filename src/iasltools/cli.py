@@ -21,9 +21,9 @@ from .construct import (
     weakly_uniform_iasi,
 )
 from .graph import (
-    Graph, GraphError, complement, contract_edge, corona, join, line_graph,
-    parse_graph6, product, rooted_product, subdivide_edge, to_dot, total_graph,
-    union, write_graph6,
+    PRODUCT_KINDS, Graph, GraphError, complement, contract_edge, corona, join,
+    line_graph, parse_graph6, product, rooted_product, subdivide_edge, to_dot,
+    total_graph, union, write_graph6,
 )
 from .graph6 import Graph6Error
 from .intset import IntegerSet
@@ -34,9 +34,9 @@ from .search import SearchConfig, find_k_uniform, min_ground_set_size
 __all__ = ["main", "console_main"]
 
 _CONSTRUCT_KINDS = ("canonical", "two-uniform", "weakly-uniform", "strongly-uniform")
-_BINARY_OPS = ("union", "join", "cartesian", "direct", "strong", "lexicographic",
-               "corona", "rooted")
+_BINARY_OPS = ("union", "join") + PRODUCT_KINDS + ("corona", "rooted")
 _UNARY_OPS = ("complement", "line", "total", "subdivide", "contract")
+_CERTIFICATE_CODES = {"witness": 0, "exhausted": 1, "budget_exceeded": 3}
 
 
 class _CliError(Exception):
@@ -142,6 +142,18 @@ def _parse_json(text: str, what: str):
         ) from exc
 
 
+def _parse_shared(text: str) -> dict[int, int]:
+    """--shared: a JSON object mapping second-operand to first-operand ids."""
+    raw = _parse_json(text, "shared JSON")
+    if not isinstance(raw, dict):
+        raise _CliError("shared JSON: expected an object of integer vertex ids")
+    for key, value in raw.items():
+        if not (key.isdecimal() and str(int(key)) == key and type(value) is int):
+            raise _CliError(f"shared JSON: {json.dumps(key)}: {json.dumps(value)} "
+                            "is not a pair of integer vertex ids")
+    return {int(key): value for key, value in raw.items()}
+
+
 def _labeling_from_args(graph_text: str | None, labels_text: str) -> SetLabeling:
     payload = _parse_json(labels_text, "labels JSON")
     bare = not isinstance(payload, dict)
@@ -222,10 +234,7 @@ def _run_construct(ns, cfg, graph_text):
 def _run_minsize(ns, cfg, graph_text):
     g = _parse_graph(graph_text)
     size, cert = min_ground_set_size(g, cfg)
-    if cert.kind == "budget_exceeded":
-        code = 3
-    else:
-        code = 0 if size is not None else 1
+    code = _CERTIFICATE_CODES[cert.kind]
     if ns.format == "text":
         if code == 3:
             return code, "budget exhausted"
@@ -245,7 +254,7 @@ def _run_uniform(ns, cfg, graph_text):
     if ns.k < 1:
         raise _CliError("--k must be positive")
     cert = find_k_uniform(g, ns.k, cfg, mode=ns.mode)
-    code = {"witness": 0, "exhausted": 1, "budget_exceeded": 3}[cert.kind]
+    code = _CERTIFICATE_CODES[cert.kind]
     if ns.format == "text":
         if code == 0:
             labels = json.dumps([l.to_list() for l in cert.witness.labels])
@@ -268,16 +277,12 @@ def _run_product(ns, cfg, graph_text):
     extra = {}
     try:
         if kind == "union":
-            shared = {}
-            if ns.shared:
-                raw = _parse_json(ns.shared, "shared JSON")
-                shared = {int(k): int(v) for k, v in raw.items()}
-            res = union(g, h, shared)
+            res = union(g, h, _parse_shared(ns.shared) if ns.shared else {})
             out, extra = res.graph, {"map_first": list(res.map_first),
                                      "map_second": list(res.map_second)}
         elif kind == "join":
             out = join(g, h)
-        elif kind in ("cartesian", "direct", "strong", "lexicographic"):
+        elif kind in PRODUCT_KINDS:
             out = product(kind, g, h)
         elif kind == "corona":
             out = corona(g, h)

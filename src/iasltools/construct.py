@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    Graph, GraphError, complement, contract_edge, corona, induced_subgraph,
-    is_bipartite, join, line_graph, pair_id, product, rooted_product,
-    subdivide_edge, total_graph, union,
+    PRODUCT_KINDS, Graph, GraphError, complement, contract_edge, corona,
+    induced_subgraph, is_bipartite, join, line_graph, pair_id, product,
+    rooted_product, subdivide_edge, total_graph, union,
 )
 from .intset import IntegerSet, integral_multiple, sumset
 from .labeling import ClassificationReport, SetLabeling, classify, labeling_to_json
@@ -128,16 +128,22 @@ def _finalize(graph: Graph, labels, note: str = "") -> ConstructionOutcome:
     return ConstructionOutcome(done, True, tuple(log), report, formula_report, note)
 
 
+def _verified(graph: Graph, labels, note: str, ok, name: str) -> ConstructionOutcome:
+    """_finalize a proven direct construction; a repair or a failed ok is a bug."""
+    out = _finalize(graph, labels, note=note)
+    if out.repaired or not ok(out.report):
+        raise AssertionError(f"{name} construction must verify without repair")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # direct constructions
 
 def canonical_iasi(g: Graph) -> ConstructionOutcome:
     """Vertex i gets {2^i}; binary uniqueness makes both maps injective."""
     labels = [IntegerSet((1 << i,)) for i in g.vertices()]
-    out = _finalize(g, labels, note="singleton powers of two")
-    if out.repaired or not out.report.is_iasi:
-        raise AssertionError("canonical construction must verify without repair")
-    return out
+    return _verified(g, labels, "singleton powers of two",
+                     lambda r: r.is_iasi, "canonical")
 
 
 def two_uniform_iasi(g: Graph) -> ConstructionOutcome | NoConstruction:
@@ -155,11 +161,8 @@ def two_uniform_iasi(g: Graph) -> ConstructionOutcome | NoConstruction:
             labels.append(IntegerSet((1 << v,)))
         else:
             labels.append(IntegerSet((0, 1 << v)))
-    out = _finalize(g, labels, note="bipartite singleton / {0, power} split")
-    ok = out.report.is_iasi and out.report.is_k_uniform(2)
-    if out.repaired or not ok:
-        raise AssertionError("2-uniform construction must verify without repair")
-    return out
+    return _verified(g, labels, "bipartite singleton / {0, power} split",
+                     lambda r: r.is_iasi and r.is_k_uniform(2), "2-uniform")
 
 
 def weakly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruction:
@@ -182,15 +185,9 @@ def weakly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstructio
         labels[v] = IntegerSet((i,))
     for j, v in enumerate(part1):
         labels[v] = IntegerSet(range(j * stride, j * stride + k))
-    out = _finalize(g, labels, note=f"singleton / {k}-block split, stride {stride}")
-    ok = (
-        out.report.is_iasi
-        and out.report.is_weak
-        and out.report.is_k_uniform(k)
-    )
-    if out.repaired or not ok:
-        raise AssertionError("weakly uniform construction must verify without repair")
-    return out
+    return _verified(g, labels, f"singleton / {k}-block split, stride {stride}",
+                     lambda r: r.is_iasi and r.is_weak and r.is_k_uniform(k),
+                     "weakly uniform")
 
 
 def _primes_above(floor: int, count: int) -> list[int]:
@@ -254,25 +251,13 @@ def strongly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruct
         }
         labels, how = _shifted_progressions(list(g.vertices()), lengths)
         note = f"bipartite branch: sizes 1 x {k}, {how}"
-    out = _finalize(g, labels, note=note)
-    ok = (
-        out.report.is_iasi
-        and out.report.is_strong
-        and out.report.is_k_uniform(k)
-    )
-    if out.repaired or not ok:
-        raise AssertionError("strongly uniform construction must verify without repair")
-    return out
+    return _verified(g, labels, note,
+                     lambda r: r.is_iasi and r.is_strong and r.is_k_uniform(k),
+                     "strongly uniform")
 
 
 # ---------------------------------------------------------------------------
 # labelings induced through graph operations
-
-def _require(f: SetLabeling | None, which: str) -> SetLabeling:
-    if f is None:
-        raise ConstructionError(f"{which} operand labeling is required")
-    return f
-
 
 def induced_labeling(
     kind: str,
@@ -291,7 +276,8 @@ def induced_labeling(
             raise ConstructionError("complement takes a single labeling")
         return _finalize(complement(f1.graph), list(f1.labels),
                          note="labels kept on complement")
-    f2 = _require(f2, "second")
+    if f2 is None:
+        raise ConstructionError("second operand labeling is required")
     if kind == "union":
         res = union(f1.graph, f2.graph, shared)
         for j, i in (shared or {}).items():
@@ -309,7 +295,7 @@ def induced_labeling(
         graph = join(f1.graph, f2.graph)
         return _finalize(graph, list(f1.labels) + list(f2.labels),
                          note="operand labels side by side")
-    if kind in ("cartesian", "direct", "strong", "lexicographic"):
+    if kind in PRODUCT_KINDS:
         graph = product(kind, f1.graph, f2.graph)
         n2 = f2.graph.vertex_count
         labels = [None] * graph.vertex_count
@@ -402,6 +388,8 @@ def minor_labeling(f: SetLabeling, script) -> ConstructionOutcome:
     labels = list(f.labels)
     for step, arg in script:
         if step == "delete-vertex":
+            if not 0 <= arg < graph.vertex_count:
+                raise GraphError(f"vertex {arg} out of range")
             keep = [x for x in graph.vertices() if x != arg]
             res = induced_subgraph(graph, keep)
             labels = [labels[old] for old in res.kept]

@@ -12,7 +12,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from typing import Iterator
 
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
@@ -23,7 +23,7 @@ __all__ = [
     "complete_graph", "path_graph", "cycle_graph", "star_graph", "empty_graph",
     "is_bipartite", "BipartitenessResult",
     "complement", "union", "UnionResult", "join",
-    "product", "PRODUCT_KINDS", "pair_id", "id_pair",
+    "product", "PRODUCT_KINDS", "pair_id",
     "corona", "rooted_product",
     "line_graph", "LineGraphResult", "total_graph", "TotalGraphResult",
     "subdivide_edge", "contract_edge", "ContractionResult",
@@ -279,10 +279,6 @@ def pair_id(i: int, j: int, n2: int) -> int:
     return i * n2 + j
 
 
-def id_pair(t: int, n2: int) -> tuple[int, int]:
-    return divmod(t, n2)
-
-
 def product(kind: str, g1: Graph, g2: Graph) -> Graph:
     """Cartesian, direct (tensor), strong, or lexicographic product.
 
@@ -295,25 +291,20 @@ def product(kind: str, g1: Graph, g2: Graph) -> Graph:
         raise GraphError("product operands must be non-empty")
     n2 = g2.vertex_count
     edges = []
-    for a in g1.vertices():
-        for b in g2.vertices():
-            for c in g1.vertices():
-                for d in g2.vertices():
-                    s, t = pair_id(a, b, n2), pair_id(c, d, n2)
-                    if s >= t:
-                        continue
-                    adj1 = g1.has_edge(a, c)
-                    adj2 = g2.has_edge(b, d)
-                    if kind == "cartesian":
-                        hit = (a == c and adj2) or (adj1 and b == d)
-                    elif kind == "direct":
-                        hit = adj1 and adj2
-                    elif kind == "strong":
-                        hit = (a == c and adj2) or (adj1 and b == d) or (adj1 and adj2)
-                    else:
-                        hit = adj1 or (a == c and adj2)
-                    if hit:
-                        edges.append((s, t))
+    # row-major order, so each pair comes out with the smaller id first
+    for (a, b), (c, d) in combinations(iproduct(g1.vertices(), g2.vertices()), 2):
+        adj1 = g1.has_edge(a, c)
+        adj2 = g2.has_edge(b, d)
+        if kind == "cartesian":
+            hit = (a == c and adj2) or (adj1 and b == d)
+        elif kind == "direct":
+            hit = adj1 and adj2
+        elif kind == "strong":
+            hit = (a == c and adj2) or (adj1 and b == d) or (adj1 and adj2)
+        else:
+            hit = adj1 or (a == c and adj2)
+        if hit:
+            edges.append((pair_id(a, b, n2), pair_id(c, d, n2)))
     names = tuple(
         f"({g1.name_of(i)},{g2.name_of(j)})"
         for i in g1.vertices() for j in g2.vertices()

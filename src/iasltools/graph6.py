@@ -50,8 +50,6 @@ def _decode_size(text: str) -> tuple[int, int]:
             n = (n << 6) | _checked(text, pos)
         if n <= _MAX_MEDIUM:
             raise Graph6Error(f"non-minimal size header for n={n}", 0)
-        if n > _MAX_LONG:
-            raise Graph6Error(f"vertex count {n} out of range", 0)
         return n, 8
     if len(text) < 4:
         raise Graph6Error("truncated 4-byte size header", len(text))

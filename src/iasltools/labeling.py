@@ -47,9 +47,6 @@ class SetLabeling:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labels", labels)
 
-    def label(self, v: int) -> IntegerSet:
-        return self.labels[v]
-
 
 def induced_edge_label(f: SetLabeling, u: int, v: int) -> IntegerSet:
     """Sum set carried by the edge uv."""

@@ -34,8 +34,8 @@ from .labeling import (
     weak_structure_check,
 )
 from .search import (
-    BudgetExceeded, SearchConfig, check_binomial_bound, find_k_uniform,
-    min_ground_set_size,
+    MAX_ELEMENT_BOUND, BudgetExceeded, SearchConfig, check_binomial_bound,
+    find_k_uniform, min_ground_set_size,
 )
 
 __all__ = ["Corpus", "TheoremCheck", "CHECK_IDS", "run_check", "run_suite"]
@@ -61,6 +61,9 @@ class Corpus:
             )
         if self.max_element is not None and self.max_element < 0:
             raise ValueError(f"max_element must be non-negative, got {self.max_element}")
+        if self.max_element is not None and self.max_element > MAX_ELEMENT_BOUND:
+            raise ValueError(f"max_element must be at most {MAX_ELEMENT_BOUND}, "
+                             f"got {self.max_element}")
         if self.max_label_size is not None and self.max_label_size < 1:
             raise ValueError(
                 f"max_label_size must be at least 1, got {self.max_label_size}"

@@ -289,9 +289,13 @@ def min_ground_set_size(
     )
     try:
         for m in range(lower, config.element_bound + 2):
-            found = _scan_ground_sets(g, m, config, deadline)
-            if found is not None:
-                witness, ground = found
+            # first X, in combinations order, whose subsets carry a set-indexer
+            for ground in combinations(range(config.element_bound + 1), m):
+                subsets = _subsets(ground)
+                labels = _backtrack(g, subsets, None, _sum_keys(subsets), deadline)
+                if labels is None:
+                    continue
+                witness = SetLabeling(g, [IntegerSet(lab) for lab in labels])
                 report = classify(witness)
                 if not (report.is_iasl and report.is_iasi):
                     raise AssertionError("witness failed re-verification")
@@ -313,17 +317,6 @@ def min_ground_set_size(
         f"{space}; no admissible ground set of any size within bounds",
         data={"lower_bound": lower},
     )
-
-
-def _scan_ground_sets(g: Graph, m: int, config: SearchConfig, deadline: _Deadline):
-    """The first m-element ground set, in combinations order, whose
-    non-empty subsets (ascending by position mask) carry a set-indexer."""
-    for ground in combinations(range(config.element_bound + 1), m):
-        subsets = _subsets(ground)
-        labels = _backtrack(g, subsets, None, _sum_keys(subsets), deadline)
-        if labels is not None:
-            return SetLabeling(g, [IntegerSet(lab) for lab in labels]), ground
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,7 @@ class TestOracleCommand:
         ("iasl-existence", "--max-vertices", "9"),
         ("iasl-existence", "--max-vertices", "0"),
         ("all", "--max-vertices", "7"),
+        ("edge-size-bounds", "--max-element", "13"),
     ])
     def test_meaningless_corpus_exits_two(self, argv):
         code, out, err = run("oracle", "run", *argv)
@@ -298,6 +299,17 @@ class TestProductConvert:
         # -1 must not wrap around to the last vertex, which is adjacent to 0
         assert run("product", "--kind", kind, "--graph", "Bw", "--edge", "-1", "0") == (
             2, "", f"error: {kind}: edge (-1,0) not in graph\n")
+
+    @pytest.mark.parametrize("shared, err", [
+        ("[1]", "expected an object of integer vertex ids"),
+        ("5", "expected an object of integer vertex ids"),
+        ('{"0": true}', '"0": true is not a pair of integer vertex ids'),
+        ('{"0": 1.7}', '"0": 1.7 is not a pair of integer vertex ids'),
+        ('{"x": 1}', '"x": 1 is not a pair of integer vertex ids'),
+    ], ids=["array", "number", "bool-value", "float-value", "word-key"])
+    def test_shared_must_map_integer_ids(self, shared, err):
+        assert run("product", "--kind", "union", "--graph", "Bw", "--graph2", "A_",
+                   "--shared", shared) == (2, "", f"error: shared JSON: {err}\n")
 
     def test_convert_json_preserves_structure(self):
         code, out, _ = run("convert", "--graph", "Bw")

@@ -12,8 +12,8 @@ from iasltools.construct import (
     two_uniform_iasi, weakly_uniform_iasi,
 )
 from iasltools.graph import (
-    complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
-    star_graph,
+    GraphError, complete_graph, cycle_graph, empty_graph, enumerate_graphs,
+    path_graph, star_graph,
 )
 from iasltools.intset import ElementBoundError, iset
 from iasltools.labeling import SetLabeling, classify
@@ -224,6 +224,12 @@ class TestRewiring:
         out = minor_labeling(f, [("delete-vertex", 0)])
         assert out.labeling.graph == path_graph(3)
         assert labels_of(out) == [[2], [4], [8]]
+
+    @pytest.mark.parametrize("v", [3, 7, -1])
+    def test_minor_delete_vertex_out_of_range(self, v):
+        f = canonical_iasi(path_graph(3)).labeling
+        with pytest.raises(GraphError, match=f"^vertex {v} out of range$"):
+            minor_labeling(f, [("delete-vertex", v)])
 
     def test_minor_bad_step(self):
         f = canonical_iasi(path_graph(3)).labeling

@@ -17,7 +17,7 @@ from iasltools.labeling import (
     SetLabeling, classify, strong_structure_check, weak_structure_check,
 )
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
-from iasltools.search import SearchConfig
+from iasltools.search import MAX_ELEMENT_BOUND, SearchConfig
 
 
 SMALL = Corpus(max_vertices=3, max_element=3)
@@ -133,6 +133,12 @@ class TestCorpus:
     def test_boundary_values_accepted(self):
         Corpus(max_element=0, max_vertices=1, max_label_size=1, ks=(1,))
         Corpus(max_vertices=6)
+
+    def test_max_element_capped_at_the_search_bound(self):
+        # the arithmetic checks enumerate every subset of {0..max_element}
+        with pytest.raises(ValueError, match="max_element must be at most 12, got 13"):
+            Corpus(max_element=MAX_ELEMENT_BOUND + 1)
+        assert Corpus(max_element=MAX_ELEMENT_BOUND).max_element == MAX_ELEMENT_BOUND
 
     def test_only_none_means_default(self):
         check = run_check("edge-size-bounds", corpus=Corpus(max_element=0))
