@@ -22,7 +22,7 @@ class Graph6Error(ValueError):
 
 _OFFSET = 63
 _MAX_SHORT = 62
-_MAX_MEDIUM = 258047        # 2^18 - 1
+_MAX_MEDIUM = 258047        # 63 * 2^12 - 1, as "~~" starts the 8-byte form
 _MAX_LONG = 68719476735     # 2^36 - 1
 
 

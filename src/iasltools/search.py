@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .graph import Graph
+from .graph import Graph, cycle_graph
 from .intset import IntegerSet
 from .labeling import SetLabeling, classify, ground_set, labeling_to_json
 
@@ -204,6 +204,23 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _odd_girth(g: Graph) -> int | None:
+    """Length of a shortest odd cycle of g, None if g is bipartite: the
+    least 2d + 1 over BFS trees with an edge joining two depth-d vertices."""
+    best = g.vertex_count + 1            # longer than any cycle of g
+    for s in g.vertices():
+        depth = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in g.adjacency[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+                elif depth[w] == depth[v]:
+                    best = min(best, 2 * depth[v] + 1)
+    return best if best <= g.vertex_count else None
+
+
 def _backtrack(g: Graph, domain, compat, key, deadline: _Deadline):
     """The first set-indexer of g over domain, as one label per vertex.
 
@@ -330,6 +347,11 @@ def find_k_uniform(
     mode restricts the space: "weak" additionally demands a singleton
     endpoint on every edge, "strong" demands full-size edge products.
     The exhausted verdict is scoped to labels inside the config bounds.
+
+    A shortest odd cycle C_L of g with L < n is a subgraph, so when the
+    search exhausts C_L, that refutation stands for g, unsearched; such
+    a g can end "exhausted" where its own search would have run out of
+    budget.  Witnesses still come from the search of g itself.
     """
     if mode not in ("any", "weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -346,7 +368,10 @@ def find_k_uniform(
 
     compat = _allow_lists(config.element_bound, config.size_bound, k, mode)
     try:
-        found = _backtrack(g, labels, compat, key, deadline)
+        odd = _odd_girth(g)
+        refuted = odd is not None and odd < g.vertex_count and _backtrack(
+            cycle_graph(odd), labels, compat, key, deadline) is None
+        found = None if refuted else _backtrack(g, labels, compat, key, deadline)
     except BudgetExceeded:
         return Certificate(
             "budget_exceeded", config,

@@ -194,6 +194,7 @@ class TestSearchCommands:
         (("minsize", "--graph", "Bw", "--time-budget", "nan"), "time_budget"),
         (("uniform", "--graph", "Bw", "--k", "2", "--element-bound", "10",
           "--size-bound", "9"), "labels within {0..10}"),
+        (("uniform", "--graph", "Bw", "--k", "0"), "--k must be positive"),
     ])
     def test_meaningless_search_config_exits_two(self, argv, field):
         code, out, err = run(*argv)
@@ -431,6 +432,12 @@ class TestBatch:
             "line 1: k must be at least 2, got 1",
             "line 2: k must be at least 2, got 1",
         ]
+
+    def test_file_without_graphs_exits_two(self, tmp_path):
+        path = tmp_path / "blank.g6"
+        path.write_text("\n  \n\n")
+        assert run("uniform", "--graph", str(path), "--k", "2") == (
+            2, "", f"error: graph file {str(path)!r} has no non-empty lines\n")
 
     def test_rejected_label_universe_is_one_error(self, tmp_path):
         path = tmp_path / "graphs.g6"

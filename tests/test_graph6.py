@@ -1,6 +1,7 @@
 """graph6 codec: exact vectors, an independent cross-check, strictness."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,25 @@ class TestStrictness:
         long_form = "~??" + chr(63 + 2) + chr(63)
         with pytest.raises(Graph6Error):
             decode_graph6(long_form)
+
+    @pytest.mark.parametrize("text,offset,message", [
+        ("~~" + "?" * 5, 7, "truncated 8-byte size header"),
+        # 258,047 = 63 * 2^12 - 1 is the largest order of the 4-byte form
+        ("~~???}~~", 0, "non-minimal size header for n=258047"),
+        # 258,048 needs the 8-byte form and about 5.5e9 body characters
+        ("~~???~??" + "?" * 10, 18, "body too short"),
+    ], ids=["truncated", "non-minimal", "short-body"])
+    def test_eight_byte_size_header(self, text, offset, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Graph6Error, match=message) as err:
+                decode_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == offset
+        assert str(err.value).startswith(f"byte {offset}: ")
+        assert peak < 100_000
 
     def test_offset_attribute(self):
         try:

@@ -9,9 +9,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from iasltools import search
 from iasltools.cli import main
 from iasltools.graph import (
-    complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
+    Graph, complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
     star_graph, write_graph6,
 )
 from iasltools.intset import iset
@@ -172,6 +173,15 @@ class TestKUniform:
                               SearchConfig(time_budget=0.0))
         assert cert.kind == "budget_exceeded"
 
+    @pytest.mark.parametrize("mode", ["any", "weak", "strong"])
+    def test_zero_budget_stops_the_odd_cycle_search(self, mode):
+        # a triangle plus a pendant vertex: the cycle is searched first
+        g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+        assert search._odd_girth(g) == 3 < g.vertex_count
+        cert = find_k_uniform(g, 2, SearchConfig(element_bound=5, size_bound=3,
+                                                 time_budget=0.0), mode=mode)
+        assert cert.kind == "budget_exceeded"
+
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             find_k_uniform(path_graph(2), 0)
@@ -183,6 +193,27 @@ class TestKUniform:
         assert payload["kind"] == "exhausted"
         assert "{0..5}" in payload["description"]
         assert payload["config"]["size_bound"] == 2
+
+    def test_refuted_odd_cycle_stands_for_the_graph(self, monkeypatch):
+        searched = []
+        backtrack = search._backtrack
+
+        def spy(g, *args):
+            searched.append(g.vertex_count)
+            return backtrack(g, *args)
+
+        monkeypatch.setattr(search, "_backtrack", spy)
+        cfg = SearchConfig(element_bound=5, size_bound=3)
+        cases = [
+            (complete_graph(5), 2, "exhausted", [3]),       # C3 refutes K5
+            (cycle_graph(5), 2, "exhausted", [5]),         # L = n: searched once
+            (complete_graph(4), 3, "witness", [3, 4]),     # C3 has a witness
+            (path_graph(4), 2, "witness", [4]),            # bipartite
+        ]
+        for g, k, kind, sizes in cases:
+            searched.clear()
+            assert find_k_uniform(g, k, cfg).kind == kind
+            assert searched == sizes
 
     def test_deterministic_across_runs(self):
         a = find_k_uniform(cycle_graph(4), 2).to_json()
@@ -270,12 +301,35 @@ def _modes(g, labels):
     return {(k, mode) for k in sizes or (1, 2, 3, 4) for mode in modes}
 
 
-def _small_graphs():
-    return [g for n in range(5) for g in enumerate_graphs(n)]
+def _small_graphs(max_n=4):
+    return [g for n in range(max_n + 1) for g in enumerate_graphs(n)]
 
 
 def _witness_labels(cert):
     return [frozenset(l.to_list()) for l in cert.witness.labels]
+
+
+def _brute_first_ground_set(g, element_bound):
+    """(m, X) for the first X, by size then in combinations order, whose
+    non-empty subsets carry a set-indexer of g; (None, None) if none does."""
+    for m in range(element_bound + 2):
+        for ground in combinations(range(element_bound + 1), m):
+            if next(_brute_indexers(g, _nonempty_subsets(ground)), None) is not None:
+                return m, list(ground)
+    return None, None
+
+
+def _shortest_odd_closed_walk(g):
+    """Least odd L with a closed walk of L edges, by stepping every walk's
+    end set; an odd closed walk, if any, has an odd cycle of <= n edges."""
+    best = None
+    for start in g.vertices():
+        ends = {start}
+        for length in range(1, g.vertex_count + 1):
+            ends = {w for u in ends for w in g.vertices() if g.has_edge(u, w)}
+            if length % 2 and start in ends and (best is None or length < best):
+                best = length
+    return best
 
 
 class TestAgainstBruteForce:
@@ -309,12 +363,7 @@ class TestAgainstBruteForce:
         element_bound = 3
         cfg = SearchConfig(element_bound=element_bound)
         for g in _small_graphs():
-            expected = next((
-                m for m in range(element_bound + 2)
-                if any(next(_brute_indexers(g, _nonempty_subsets(ground)), None)
-                       is not None
-                       for ground in combinations(range(element_bound + 1), m))
-            ), None)
+            expected, _ = _brute_first_ground_set(g, element_bound)
             size, cert = min_ground_set_size(g, cfg)
             assert size == expected, write_graph6(g)
             if cert.witness is not None:
@@ -323,6 +372,35 @@ class TestAgainstBruteForce:
                 assert len(ground) == size
                 assert set(found) <= set(_nonempty_subsets(ground))
                 assert _is_indexer(g, found)
+
+    @pytest.mark.parametrize("element_bound,expected,kind", [
+        # {0,1,2} has 7 non-empty subsets, too few to index K6's 15 edges
+        (8, (3, [0, 1, 3]), "witness"),
+        (2, (None, None), "exhausted"),
+    ], ids=["moves-past-a-failed-ground-set", "exhausted"])
+    def test_min_ground_set_size_k6(self, element_bound, expected, kind):
+        g = complete_graph(6)
+        assert _brute_first_ground_set(g, element_bound) == expected
+        size, cert = min_ground_set_size(g, SearchConfig(element_bound=element_bound))
+        assert (size, cert.data.get("ground_set"), cert.kind) == (*expected, kind)
+
+    def test_odd_girth(self):
+        for g in _small_graphs(5):
+            assert search._odd_girth(g) == _shortest_odd_closed_walk(g), write_graph6(g)
+
+    def test_odd_cycle_refutation_keeps_every_verdict(self):
+        """The verdict with the odd-cycle step equals a direct search of g."""
+        cfg = SearchConfig(element_bound=3, size_bound=2)
+        labels, key = search._pair_tables(3, 2)
+        for g in _small_graphs(5):
+            for k in (1, 2, 3, 4):
+                for mode in ("any", "weak", "strong"):
+                    compat = search._allow_lists(3, 2, k, mode)
+                    direct = search._backtrack(g, labels, compat, key,
+                                               search._Deadline(60.0))
+                    expected = "exhausted" if direct is None else "witness"
+                    case = (write_graph6(g), k, mode)
+                    assert find_k_uniform(g, k, cfg, mode=mode).kind == expected, case
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +439,10 @@ class TestPinnedOutput:
             tmp_path, _connected(4), "uniform", "--k", str(k), "--mode", mode,
             "--element-bound", "5", "--size-bound", "3",
         ) == digest
+
+    def test_uniform_connected_up_to_five(self, tmp_path):
+        # recorded before non-bipartite graphs were refuted by an odd cycle
+        assert _batch_digest(
+            tmp_path, _connected(5), "uniform", "--k", "2",
+            "--element-bound", "5", "--size-bound", "3",
+        ) == "352907a10bda80c685901253887ddd6249324904c089784cd57af4cd2bbe5b94"
