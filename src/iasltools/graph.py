@@ -109,6 +109,15 @@ class Graph:
         return len(seen) == self.vertex_count
 
 
+def _trusted(vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """Graph() of edges already distinct, in range and sorted, without re-checking."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "names", None)
+    return g
+
+
 def build(vertex_count: int, edges) -> Graph:
     """Validate user input and return a canonical Graph.
 
@@ -467,20 +476,35 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """All labeled graphs on n vertices, ascending by edge bitmask.
 
-    Bit k of the mask is the k-th pair in lexicographic order.  The cap
-    guards against runaway enumeration; larger corpora should come from
-    a graph6 file instead.
+    Bit k of the mask is the k-th pair in lexicographic order.  Both
+    filters are decided on the mask, with vertex bitmasks, before any
+    graph is built.  The cap guards against runaway enumeration; larger
+    corpora should come from a graph6 file instead.
     """
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
     if n > MAX_ENUMERATION_VERTICES:
         raise GraphError(f"n={n} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
-    slots = list(combinations(range(n), 2))
+    slots = [(pair, 1 << pair[0] | 1 << pair[1]) for pair in combinations(range(n), 2)]
+    everyone = (1 << n) - 1
     for mask in range(1 << len(slots)):
-        g = Graph(n, tuple(slots[k] for k in range(len(slots)) if mask >> k & 1))
-        if connected_only and not g.is_connected():
-            continue
-        if skip_isolated and g.isolated_vertices():
-            continue
-        yield g
+        picked = [slot for k, slot in enumerate(slots) if mask >> k & 1]
+        if skip_isolated:
+            covered = 0
+            for _, ends in picked:
+                covered |= ends
+            if covered != everyone:
+                continue
+        if connected_only:
+            component, before = everyone & 1, -1  # vertex 0, if n > 0
+            while component != before:
+                before = component
+                for _, ends in picked:
+                    if component & ends:
+                        component |= ends
+            if component != everyone:
+                continue
+        yield _trusted(n, tuple(pair for pair, _ in picked))
 
 
 def to_dot(g: Graph) -> str:

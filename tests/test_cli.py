@@ -285,9 +285,10 @@ class TestProductConvert:
         assert payload["graph6"] == "Bw"
         assert payload["vertex_edges"] == [[0, 1], [0, 2], [1, 2]]
 
-    def test_contract_needs_edge(self):
-        code, _, err = run("product", "--kind", "contract", "--graph", "Bw")
-        assert code == 2
+    @pytest.mark.parametrize("kind", ["subdivide", "contract"])
+    def test_contract_needs_edge(self, kind):
+        assert run("product", "--kind", kind, "--graph", "Bw") == (
+            2, "", f"error: --edge U V is required for {kind}\n")
 
     def test_subdivide(self):
         code, out, _ = run("product", "--kind", "subdivide", "--graph", "Bw",

@@ -1,5 +1,8 @@
 """Graph core, bipartiteness certificates, and the operation toolbox."""
 
+import re
+from itertools import combinations, product as iproduct
+
 import pytest
 
 from iasltools.graph import (
@@ -228,19 +231,49 @@ class TestEnumerate:
     def test_labeled_counts(self):
         assert len(list(enumerate_graphs(3))) == 8
         assert len(list(enumerate_graphs(4))) == 64
+        assert len(list(enumerate_graphs(6))) == 2 ** 15
 
     def test_connected_counts(self):
+        # OEIS A001187
         assert len(list(enumerate_graphs(3, connected_only=True))) == 4
         assert len(list(enumerate_graphs(4, connected_only=True))) == 38
         assert len(list(enumerate_graphs(5, connected_only=True))) == 728
+        assert len(list(enumerate_graphs(6, connected_only=True))) == 26704
 
     def test_no_isolated_count(self):
+        # OEIS A006129
         assert len(list(enumerate_graphs(4, skip_isolated=True))) == 41
+        assert len(list(enumerate_graphs(5, skip_isolated=True))) == 768
+        assert len(list(enumerate_graphs(6, skip_isolated=True))) == 27449
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(7))
-        assert len(list(enumerate_graphs(6))) == 2 ** 15
+    @pytest.mark.parametrize("n, message", [
+        (-1, "negative vertex count -1"),
+        (7, "n=7 exceeds enumeration cap 6"),
+    ], ids=["negative", "over-cap"])
+    def test_guard(self, n, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            list(enumerate_graphs(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_build_then_filter(self, n):
+        # Reference: a validated Graph for every mask, filtered afterwards
+        # by is_connected() and isolated_vertices().
+        slots = list(combinations(range(n), 2))
+        every = [Graph(n, tuple(s for k, s in enumerate(slots) if mask >> k & 1))
+                 for mask in range(1 << len(slots))]
+        for connected_only, skip_isolated in iproduct((False, True), repeat=2):
+            want = [g for g in every
+                    if (not connected_only or g.is_connected())
+                    and not (skip_isolated and g.isolated_vertices())]
+            got = list(enumerate_graphs(n, connected_only, skip_isolated))
+            # want[i] is Graph(n, got[i].edges) once the edges agree
+            assert [(g.vertex_count, g.edges, g.names) for g in got] == [
+                (w.vertex_count, w.edges, w.names) for w in want]
+            assert got == want
+            assert [hash(g) for g in got] == [hash(w) for w in want]
+            if not (connected_only or skip_isolated):
+                # every mask once; the filtered runs build theirs the same way
+                assert [g.adjacency for g in got] == [w.adjacency for w in want]
 
     def test_deterministic_order(self):
         first = list(enumerate_graphs(4))[:5]
