@@ -8,66 +8,20 @@ constructions with verify-then-repair, bounded exact search, a registry
 of exhaustive claim checks, and a command line binding all of it.
 """
 
-from .intset import (
-    DEFAULT_ELEMENT_BOUND, CompatibilityTable, ElementBoundError, IntegerSet,
-    compatibility_table, difference_set, integral_multiple, iset, sumset,
-)
-from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .graph import (
-    BipartitenessResult, ContractionResult, DuplicateEdgeWarning, Graph,
-    GraphError, LineGraphResult, SubgraphResult, TotalGraphResult, UnionResult,
-    complement, complete_graph, contract_edge, corona, cycle_graph, empty_graph,
-    enumerate_graphs, induced_subgraph, is_bipartite, join, line_graph,
-    pair_id, parse_graph6, path_graph, product, rooted_product, star_graph,
-    subdivide_edge, to_dot, total_graph, union, write_graph6,
-)
-from .labeling import (
-    ClassificationReport, EdgeRecord, LabelingError, SetLabeling, Violation,
-    classify, ground_set, induced_edge_label, labeling_from_json,
-    labeling_to_json, strong_structure_check, weak_structure_check,
-)
-from .construct import (
-    ConstructionError, ConstructionOutcome, NoConstruction, RepairEntry,
-    canonical_iasi, contraction_labeling, corona_labeling, homeomorphic_transfer,
-    induced_labeling, line_graph_labeling, minor_labeling, rooted_labeling,
-    strongly_uniform_iasi, subdivision_labeling, total_graph_labeling,
-    two_uniform_iasi, weakly_uniform_iasi,
-)
-from .search import (
-    BinomialBoundCheck, BudgetExceeded, Certificate, SearchConfig,
-    check_binomial_bound, find_k_uniform, min_ground_set_size,
-)
-from .oracle import CHECK_IDS, Corpus, SuiteResult, TheoremCheck, run_check, run_suite
-from .cli import main
+from . import cli, construct, graph, graph6, intset, labeling, oracle, search
+from .intset import *
+from .graph6 import *
+from .graph import *
+from .labeling import *
+from .construct import *
+from .search import *
+from .oracle import *
+from .cli import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ELEMENT_BOUND", "CompatibilityTable", "ElementBoundError",
-    "IntegerSet", "compatibility_table", "difference_set", "integral_multiple",
-    "iset", "sumset",
-    "Graph6Error", "decode_graph6", "encode_graph6",
-    "BipartitenessResult", "ContractionResult", "DuplicateEdgeWarning", "Graph",
-    "GraphError", "LineGraphResult", "SubgraphResult", "TotalGraphResult",
-    "UnionResult", "complement", "complete_graph", "contract_edge", "corona",
-    "cycle_graph", "empty_graph", "enumerate_graphs", "induced_subgraph",
-    "is_bipartite", "join", "line_graph", "pair_id", "parse_graph6",
-    "path_graph", "product", "rooted_product", "star_graph", "subdivide_edge",
-    "to_dot", "total_graph", "union", "write_graph6",
-    "ClassificationReport", "EdgeRecord", "LabelingError", "SetLabeling",
-    "Violation", "classify", "ground_set", "induced_edge_label",
-    "labeling_from_json", "labeling_to_json", "strong_structure_check",
-    "weak_structure_check",
-    "ConstructionError", "ConstructionOutcome", "NoConstruction", "RepairEntry",
-    "canonical_iasi", "contraction_labeling", "corona_labeling",
-    "homeomorphic_transfer", "induced_labeling", "line_graph_labeling",
-    "minor_labeling", "rooted_labeling", "strongly_uniform_iasi",
-    "subdivision_labeling", "total_graph_labeling", "two_uniform_iasi",
-    "weakly_uniform_iasi",
-    "BinomialBoundCheck", "BudgetExceeded", "Certificate", "SearchConfig",
-    "check_binomial_bound", "find_k_uniform", "min_ground_set_size",
-    "CHECK_IDS", "Corpus", "SuiteResult", "TheoremCheck", "run_check",
-    "run_suite",
-    "main",
-    "__version__",
-]
+    name
+    for module in (intset, graph6, graph, labeling, construct, search, oracle, cli)
+    for name in module.__all__
+] + ["__version__"]

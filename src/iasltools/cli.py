@@ -240,7 +240,7 @@ def _run_minsize(ns, cfg, graph_text):
             return code, "budget exhausted"
         if size is None:
             return code, "none within bounds"
-        labels = json.dumps(cert.witness and [l.to_list() for l in cert.witness.labels])
+        labels = json.dumps([l.to_list() for l in cert.witness.labels])
         return code, f"{size} with witness {labels}"
     return code, {
         "command": "minsize", "config": _echo(ns, cfg),
@@ -274,6 +274,8 @@ def _run_product(ns, cfg, graph_text):
         if ns.graph2 is None:
             raise _CliError(f"--graph2 is required for {kind}")
         h = _parse_graph(ns.graph2)
+    elif kind in ("subdivide", "contract") and ns.edge is None:
+        raise _CliError(f"--edge U V is required for {kind}")
     extra = {}
     try:
         if kind == "union":
@@ -299,12 +301,8 @@ def _run_product(ns, cfg, graph_text):
             extra = {"vertex_part": list(res.vertex_part),
                      "edge_part": list(res.edge_part)}
         elif kind == "subdivide":
-            if ns.edge is None:
-                raise _CliError("--edge U V is required for subdivide")
             out = subdivide_edge(g, tuple(ns.edge))
         else:
-            if ns.edge is None:
-                raise _CliError("--edge U V is required for contract")
             res = contract_edge(g, tuple(ns.edge))
             out, extra = res.graph, {"vertex_map": list(res.vertex_map)}
     except GraphError as exc:

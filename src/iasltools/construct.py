@@ -200,27 +200,25 @@ def _primes_above(floor: int, count: int) -> list[int]:
     return out
 
 
-def _shifted_progressions(
-    vertices, lengths: dict[int, int]
-) -> tuple[list[IntegerSet], str]:
-    """Label v with M*2^v + {0, d_v, 2*d_v, ...} (own prime difference d_v).
+def _shifted_progressions(lengths: list[int]) -> tuple[list[IntegerSet], str]:
+    """Label v with M*2^v + {0, d_v, 2*d_v, ...}, lengths[v] terms with its
+    own prime difference d_v.
 
     Difference sets are {d_v, 2*d_v, ...}; distinct primes above every
     length keep them pairwise disjoint, so adjacent products are full.
     The offsets put each edge label in its own range of width < M, so
     the smallest element decodes the edge.
     """
-    n = len(lengths)
-    if not n:
+    if not lengths:
         return [], "no vertices"
-    max_len = max(lengths.values())
-    primes = dict(zip(vertices, _primes_above(max_len, n)))
-    extent = 2 * (max_len - 1) * max(primes.values()) if max_len > 1 else 0
+    max_len = max(lengths)
+    primes = _primes_above(max_len, len(lengths))
+    extent = 2 * (max_len - 1) * primes[-1] if max_len > 1 else 0
     scale = 1 << extent.bit_length() if extent else 1
-    labels = []
-    for v in vertices:
-        base = scale * (1 << v)
-        labels.append(IntegerSet(base + t * primes[v] for t in range(lengths[v])))
+    labels = [
+        IntegerSet(scale * (1 << v) + t * d for t in range(length))
+        for v, (length, d) in enumerate(zip(lengths, primes))
+    ]
     return labels, f"offset scale {scale}, prime differences"
 
 
@@ -236,9 +234,8 @@ def strongly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruct
         raise ValueError(f"k must be positive, got {k}")
     root = round(k ** 0.5)
     if root * root == k:
-        lengths = {v: root for v in g.vertices()}
-        labels, how = _shifted_progressions(list(g.vertices()), lengths)
-        note = f"completely uniform branch: all labels size {root}, {how}"
+        lengths = [root] * g.vertex_count
+        branch = f"completely uniform branch: all labels size {root}"
     else:
         side = is_bipartite(g)
         if not side.bipartite:
@@ -246,12 +243,10 @@ def strongly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruct
                 f"k={k} is not a perfect square and the graph is not bipartite",
                 side.odd_cycle,
             )
-        lengths = {
-            v: 1 if side.coloring[v] == 0 else k for v in g.vertices()
-        }
-        labels, how = _shifted_progressions(list(g.vertices()), lengths)
-        note = f"bipartite branch: sizes 1 x {k}, {how}"
-    return _verified(g, labels, note,
+        lengths = [1 if c == 0 else k for c in side.coloring]
+        branch = f"bipartite branch: sizes 1 x {k}"
+    labels, how = _shifted_progressions(lengths)
+    return _verified(g, labels, f"{branch}, {how}",
                      lambda r: r.is_iasi and r.is_strong and r.is_k_uniform(k),
                      "strongly uniform")
 

@@ -15,10 +15,10 @@ from functools import cached_property
 from itertools import combinations, product as iproduct
 from typing import Iterator
 
-from .graph6 import Graph6Error, decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6
 
 __all__ = [
-    "Graph", "GraphError", "DuplicateEdgeWarning", "Graph6Error",
+    "Graph", "GraphError", "DuplicateEdgeWarning",
     "build", "parse_graph6", "write_graph6",
     "complete_graph", "path_graph", "cycle_graph", "star_graph", "empty_graph",
     "is_bipartite", "BipartitenessResult",

@@ -9,6 +9,8 @@ carry the byte offset of the offending character.
 
 from __future__ import annotations
 
+__all__ = ["Graph6Error", "decode_graph6", "encode_graph6"]
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; offset is the position of the bad byte."""

@@ -11,6 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+__all__ = [
+    "DEFAULT_ELEMENT_BOUND", "ElementBoundError", "IntegerSet", "iset", "sumset",
+    "integral_multiple", "difference_set", "CompatibilityTable",
+    "compatibility_table",
+]
+
 # Results above this are refused rather than silently accepted; callers
 # that scale labels (repairs, uniform constructions) rely on the error.
 DEFAULT_ELEMENT_BOUND = 1 << 20

@@ -38,7 +38,9 @@ from .search import (
     find_k_uniform, min_ground_set_size,
 )
 
-__all__ = ["Corpus", "TheoremCheck", "CHECK_IDS", "run_check", "run_suite"]
+__all__ = [
+    "Corpus", "TheoremCheck", "SuiteResult", "CHECK_IDS", "run_check", "run_suite",
+]
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,16 @@ def _settled(cert):
     if cert.kind == "budget_exceeded":
         raise BudgetExceeded
     return cert
+
+
+def _exhausted(check, g, k, mode, record) -> bool:
+    """Whether find_k_uniform(g, k, mode=mode) exhausts its space.  A witness
+    fails the check, recorded as g's graph6, record, direction, witness."""
+    cert = _settled(find_k_uniform(g, k, check.config, mode=mode))
+    if cert.kind != "exhausted":
+        _fail(check, {"graph6": write_graph6(g), **record, "direction": "search",
+                      "witness": labeling_to_json(cert.witness)})
+    return cert.kind == "exhausted"
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +530,8 @@ def _check_two_uniform_iff_bipartite(check, d):
             if not _k_uniform_iasi(out, 2):
                 _fail(check, {"graph6": write_graph6(g), "direction": "construct"})
         else:
-            cert = _settled(find_k_uniform(g, 2, check.config))
+            _exhausted(check, g, 2, "any", {})
             searched += 1
-            if cert.kind != "exhausted":
-                _fail(check, {
-                    "graph6": write_graph6(g), "direction": "search",
-                    "witness": labeling_to_json(cert.witness),
-                })
     return {"constructed": built, "exhausted": searched}
 
 
@@ -619,12 +626,7 @@ def _check_weakly_uniform_iff_bipartite(check, d):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct"})
             else:
-                cert = _settled(find_k_uniform(g, k, check.config, mode="weak"))
-                if cert.kind != "exhausted":
-                    _fail(check, {
-                        "graph6": write_graph6(g), "k": k, "direction": "search",
-                        "witness": labeling_to_json(cert.witness),
-                    })
+                _exhausted(check, g, k, "weak", {"k": k})
     return {
         "graphs": len(d.graphs),
         "note": "k=1 excluded: all-singleton labelings are weakly 1-uniform "
@@ -690,13 +692,7 @@ def _check_strongly_uniform(check, d):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct",
                                   "note": "construction should have refused"})
-                cert = _settled(find_k_uniform(g, k, check.config, mode="strong"))
-                if cert.kind != "exhausted":
-                    _fail(check, {
-                        "graph6": write_graph6(g), "k": k, "direction": "search",
-                        "witness": labeling_to_json(cert.witness),
-                    })
-                else:
+                if _exhausted(check, g, k, "strong", {"k": k}):
                     branches["none"] += 1
     return {"branches": branches}
 

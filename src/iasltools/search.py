@@ -163,10 +163,12 @@ def _pair_tables(element_bound: int, size_bound: int):
 
 @lru_cache(maxsize=32)
 def _allow_lists(element_bound: int, size_bound: int, k: int, mode: str):
-    """For each label, the labels allowed next to it in the k-uniform
-    search, as an ascending tuple and as a frozenset: the pair's sum set
-    has k elements and, in mode "weak", one of them is a singleton, in
-    mode "strong", |A||B| elements.  Immutable, since calls share them."""
+    """The k-uniform search's pair rule: a pair is allowed when its sum set
+    has k elements and, in mode "weak", one label is a singleton, in mode
+    "strong", the sum set has |A||B| elements.  Returns, for each label,
+    the labels allowed next to it, ascending, and the sum-key table with
+    every disallowed pair keyed 0, which no sum set has.  Immutable, since
+    calls share them."""
     labels, key = _pair_tables(element_bound, size_bound)
 
     def pair_ok(i: int, j: int) -> bool:
@@ -179,10 +181,16 @@ def _allow_lists(element_bound: int, size_bound: int, k: int, mode: str):
             return size == len(labels[i]) * len(labels[j])
         return True
 
-    allowed = tuple(
-        tuple(j for j in range(len(labels)) if pair_ok(i, j)) for i in range(len(labels))
-    )
-    return allowed, tuple(frozenset(row) for row in allowed)
+    n = len(labels)
+    allowed = tuple(tuple(j for j in range(n) if pair_ok(i, j)) for i in range(n))
+    zero = (0,) * n                      # shared by every label with no allowed pair
+    masked = []
+    for i, row in enumerate(allowed):
+        keys = list(zero)
+        for j in row:
+            keys[j] = key[i][j]
+        masked.append(tuple(keys) if row else zero)
+    return allowed, tuple(masked)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -221,15 +229,15 @@ def _odd_girth(g: Graph) -> int | None:
     return best if best <= g.vertex_count else None
 
 
-def _backtrack(g: Graph, domain, compat, key, deadline: _Deadline):
+def _backtrack(g: Graph, domain, allowed, key, deadline: _Deadline):
     """The first set-indexer of g over domain, as one label per vertex.
 
     Vertices take distinct labels, in _search_order, each trying labels
-    in domain order; the labels of every edge must have a sum-set key
-    key[i][j] (indices into domain) that no other edge has.  compat, if
-    given, is a pair (lists, sets): lists[i] holds ascending the labels
-    allowed next to label i, sets[i] the same as a set.  None when the
-    whole space is exhausted.
+    in domain order; the labels of every edge must have a non-zero
+    sum-set key key[i][j] (indices into domain) that no other edge has.
+    allowed, if given, holds for each label i the labels that may be
+    adjacent to it, ascending; key must then be 0 on every other pair.
+    None when the whole space is exhausted.
     """
     deadline.check()
     order = _search_order(g)
@@ -238,11 +246,10 @@ def _backtrack(g: Graph, domain, compat, key, deadline: _Deadline):
     earlier = [
         [u for u in g.adjacency[v] if pos_of[u] < pos_of[v]] for v in g.vertices()
     ]
-    allowed, allowed_set = compat or (None, None)
     nlab = len(domain)
     assign: dict[int, int] = {}
     used: set[int] = set()
-    edge_used: set[int] = set()
+    edge_used = {0}
     counter = 0
 
     def place(p: int) -> bool:
@@ -264,11 +271,8 @@ def _backtrack(g: Graph, domain, compat, key, deadline: _Deadline):
                 deadline.check()
             new_keys = []
             for u in anchors:
-                a = assign[u]
-                k = key[a][idx]
-                if k in edge_used or k in new_keys or (
-                    allowed_set is not None and idx not in allowed_set[a]
-                ):
+                k = key[assign[u]][idx]
+                if k in edge_used or k in new_keys:
                     break
                 new_keys.append(k)
             else:
@@ -359,19 +363,18 @@ def find_k_uniform(
         raise ValueError(f"k must be positive, got {k}")
     config = config or SearchConfig()
     config.check_label_universe()
-    labels, key = _pair_tables(config.element_bound, config.size_bound)
+    labels, _ = _pair_tables(config.element_bound, config.size_bound)
     deadline = _Deadline(config.time_budget)
     space = (
         f"labels within {{0..{config.element_bound}}} of size <= {config.size_bound}"
         + ("" if mode == "any" else f", {mode} edges only")
     )
-
-    compat = _allow_lists(config.element_bound, config.size_bound, k, mode)
+    allowed, key = _allow_lists(config.element_bound, config.size_bound, k, mode)
     try:
         odd = _odd_girth(g)
         refuted = odd is not None and odd < g.vertex_count and _backtrack(
-            cycle_graph(odd), labels, compat, key, deadline) is None
-        found = None if refuted else _backtrack(g, labels, compat, key, deadline)
+            cycle_graph(odd), labels, allowed, key, deadline) is None
+        found = None if refuted else _backtrack(g, labels, allowed, key, deadline)
     except BudgetExceeded:
         return Certificate(
             "budget_exceeded", config,

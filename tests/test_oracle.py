@@ -14,10 +14,11 @@ from iasltools.graph import (
 from iasltools import oracle
 from iasltools.intset import IntegerSet, sumset
 from iasltools.labeling import (
-    SetLabeling, classify, strong_structure_check, weak_structure_check,
+    SetLabeling, classify, labeling_to_json, strong_structure_check,
+    weak_structure_check,
 )
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
-from iasltools.search import MAX_ELEMENT_BOUND, SearchConfig
+from iasltools.search import MAX_ELEMENT_BOUND, Certificate, SearchConfig
 
 
 SMALL = Corpus(max_vertices=3, max_element=3)
@@ -337,6 +338,32 @@ class TestCounterexampleCertificates:
         # no weakly 2-uniform labeling of a triangle exists: still a pass
         assert check.verdict == "pass"
         assert check.details["graphs"] == 1
+
+    @pytest.mark.parametrize("cid, ks, mode, leading", [
+        ("two-uniform-iff-bipartite", None, "any", {}),
+        ("weakly-uniform-iff-bipartite", (2,), "weak", {"k": 2}),
+        ("strongly-uniform-iff-bipartite-or-square", (2,), "strong", {"k": 2}),
+    ])
+    def test_search_side_witness_record(self, monkeypatch, cid, ks, mode, leading):
+        """A witness found for a non-bipartite graph is recorded with these
+        keys, in this order."""
+        triangle = complete_graph(3)
+        f = SetLabeling(triangle, [IntegerSet([v]) for v in (0, 1, 3)])
+        calls = []
+
+        def found(g, k, config, mode="any"):
+            calls.append((write_graph6(g), k, mode))
+            return Certificate("witness", config, "stub", f)
+
+        monkeypatch.setattr(oracle, "find_k_uniform", found)
+        check = run_check(cid, corpus=Corpus(graphs=(triangle,), ks=ks))
+        assert calls == [("Bw", 2, mode)]
+        assert check.verdict == "counterexample"
+        expected = {"graph6": "Bw", **leading, "direction": "search",
+                    "witness": labeling_to_json(f)}
+        assert [list(r.items()) for r in check.counterexamples] == [
+            list(expected.items())
+        ]
 
 
 class TestSpecificChecks:

@@ -384,6 +384,26 @@ class TestAgainstBruteForce:
         size, cert = min_ground_set_size(g, SearchConfig(element_bound=element_bound))
         assert (size, cert.data.get("ground_set"), cert.kind) == (*expected, kind)
 
+    @pytest.mark.parametrize("bounds", [(3, 2), (5, 3)])
+    def test_pair_rule_keys_disallowed_pairs_zero(self, bounds):
+        """_allow_lists keeps an allowed pair's sum key and keys every other
+        pair 0, against the pair rule applied to the labels themselves."""
+        labels, key = search._pair_tables(*bounds)
+        for k in (1, 2, 3, 4):
+            for mode in ("any", "weak", "strong"):
+                allowed, masked = search._allow_lists(*bounds, k, mode)
+                for i, a in enumerate(labels):
+                    for j, b in enumerate(labels):
+                        size = len({x + y for x in a for y in b})
+                        ok = size == k and {
+                            "any": True,
+                            "weak": min(len(a), len(b)) == 1,
+                            "strong": size == len(a) * len(b),
+                        }[mode]
+                        assert masked[i][j] == (key[i][j] if ok else 0), (a, b, k, mode)
+                    assert list(allowed[i]) == [j for j in range(len(labels))
+                                                if masked[i][j]]
+
     def test_odd_girth(self):
         for g in _small_graphs(5):
             assert search._odd_girth(g) == _shortest_odd_closed_walk(g), write_graph6(g)
@@ -391,12 +411,12 @@ class TestAgainstBruteForce:
     def test_odd_cycle_refutation_keeps_every_verdict(self):
         """The verdict with the odd-cycle step equals a direct search of g."""
         cfg = SearchConfig(element_bound=3, size_bound=2)
-        labels, key = search._pair_tables(3, 2)
+        labels, _ = search._pair_tables(3, 2)
         for g in _small_graphs(5):
             for k in (1, 2, 3, 4):
                 for mode in ("any", "weak", "strong"):
-                    compat = search._allow_lists(3, 2, k, mode)
-                    direct = search._backtrack(g, labels, compat, key,
+                    allowed, key = search._allow_lists(3, 2, k, mode)
+                    direct = search._backtrack(g, labels, allowed, key,
                                                search._Deadline(60.0))
                     expected = "exhausted" if direct is None else "witness"
                     case = (write_graph6(g), k, mode)
