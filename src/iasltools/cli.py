@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .construct import (
     NoConstruction, canonical_iasi, strongly_uniform_iasi, two_uniform_iasi,
@@ -249,11 +250,11 @@ def _run_minsize(ns, cfg, graph_text):
     }
 
 
-def _run_uniform(ns, cfg, graph_text):
+def _run_uniform(ns, cfg, graph_text, cycles):
     g = _parse_graph(graph_text)
     if ns.k < 1:
         raise _CliError("--k must be positive")
-    cert = find_k_uniform(g, ns.k, cfg, mode=ns.mode)
+    cert = find_k_uniform(g, ns.k, cfg, mode=ns.mode, cycles=cycles)
     code = _CERTIFICATE_CODES[cert.kind]
     if ns.format == "text":
         if code == 0:
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
             runner = {
                 "construct": _run_construct,
                 "minsize": _run_minsize,
-                "uniform": _run_uniform,
+                "uniform": partial(_run_uniform, cycles={}),  # this run's C_L verdicts
                 "product": _run_product,
                 "convert": _run_convert,
             }[ns.command]
@@ -450,3 +451,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

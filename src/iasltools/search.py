@@ -25,7 +25,7 @@ from .labeling import SetLabeling, classify, ground_set, labeling_to_json
 __all__ = [
     "SearchConfig", "Certificate", "BudgetExceeded",
     "min_ground_set_size", "find_k_uniform", "check_binomial_bound",
-    "BinomialBoundCheck",
+    "BinomialBoundCheck", "MAX_ELEMENT_BOUND", "MAX_LABELS",
 ]
 
 
@@ -344,7 +344,8 @@ def min_ground_set_size(
 # k-uniform search
 
 def find_k_uniform(
-    g: Graph, k: int, config: SearchConfig | None = None, mode: str = "any"
+    g: Graph, k: int, config: SearchConfig | None = None, mode: str = "any",
+    *, cycles: dict | None = None,
 ) -> Certificate:
     """Exhaustive search for a k-uniform set-indexer within label bounds.
 
@@ -356,6 +357,15 @@ def find_k_uniform(
     search exhausts C_L, that refutation stands for g, unsearched; such
     a g can end "exhausted" where its own search would have run out of
     budget.  Witnesses still come from the search of g itself.
+
+    cycles, if given, is the caller's memo of odd-cycle verdicts for one
+    run (one CLI invocation, one oracle check): it maps (L, k, mode,
+    element_bound, size_bound) to True when C_L was exhausted and False
+    when C_L has a witness, so each C_L is searched once per run.  A
+    verdict from g's own search is recorded only when g is C_L itself
+    (L = n).  The memo changes no certificate byte, but a warm one can
+    turn a would-be "budget_exceeded" into "exhausted"; time_budget=0
+    still gives "budget_exceeded".  None searches cold.
     """
     if mode not in ("any", "weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -371,10 +381,17 @@ def find_k_uniform(
     )
     allowed, key = _allow_lists(config.element_bound, config.size_bound, k, mode)
     try:
+        deadline.check()
         odd = _odd_girth(g)
-        refuted = odd is not None and odd < g.vertex_count and _backtrack(
-            cycle_graph(odd), labels, allowed, key, deadline) is None
-        found = None if refuted else _backtrack(g, labels, allowed, key, deadline)
+        cycles = {} if cycles is None else cycles
+        cycle = (odd, k, mode, config.element_bound, config.size_bound)
+        if odd is not None and odd < g.vertex_count and cycle not in cycles:
+            cycles[cycle] = _backtrack(
+                cycle_graph(odd), labels, allowed, key, deadline) is None
+        found = None if cycles.get(cycle) else _backtrack(
+            g, labels, allowed, key, deadline)
+        if odd == g.vertex_count:            # g is C_L: a chord closes a shorter odd cycle
+            cycles[cycle] = found is None
     except BudgetExceeded:
         return Certificate(
             "budget_exceeded", config,

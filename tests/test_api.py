@@ -29,5 +29,6 @@ def test_all_joins_every_module_all_once():
         for name in module.__all__:
             assert getattr(iasltools, name) is getattr(module, name), name
     assert iasltools.__version__
+    assert (iasltools.MAX_ELEMENT_BOUND, iasltools.MAX_LABELS) == (12, 1023)
     quick_start = _readme_quick_start_imports()
     assert quick_start and quick_start <= set(names)

@@ -3,11 +3,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from iasltools import oracle
+from iasltools import oracle, search
 from iasltools.cli import main
 from iasltools.graph import path_graph, write_graph6
 
@@ -434,6 +438,27 @@ class TestBatch:
             "line 2: k must be at least 2, got 1",
         ]
 
+    @pytest.mark.parametrize("k, searches", [(2, 1), (3, 5)])
+    def test_uniform_batch_shares_odd_cycle_verdicts(self, tmp_path, monkeypatch,
+                                                     k, searches):
+        """One invocation searches C3 once: at k=2 it refutes every line, at
+        k=3 its witness sends each line to its own search.  Each line is
+        the payload of the graph's own run."""
+        lines = ["C~", "D~{", "Cx", "Bw"]            # K4, K5, a paw, K3
+        flags = ("--k", str(k), "--element-bound", "5", "--size-bound", "3")
+        singles = [json.dumps(json.loads(run("uniform", "--graph", g, *flags)[1]),
+                              sort_keys=True) for g in lines]
+        calls = []
+        backtrack = search._backtrack
+        monkeypatch.setattr(search, "_backtrack",
+                            lambda *args: calls.append(1) or backtrack(*args))
+        path = tmp_path / "graphs.g6"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run("uniform", "--graph", str(path), *flags)
+        assert out.splitlines() == singles
+        assert len(calls) == searches
+        assert code == 1                              # K5 is exhausted at both k
+
     def test_file_without_graphs_exits_two(self, tmp_path):
         path = tmp_path / "blank.g6"
         path.write_text("\n  \n\n")
@@ -489,6 +514,26 @@ class TestBatch:
         path.write_text('{"graph6": "A_", "labels": [[1], [2]]}\n')
         code, _, err = run("classify", "--graph", "A_", "--labels", str(path))
         assert code == 2
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["iasltools", "iasltools.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def oracle_list(*interpreter_args):
+            return subprocess.run(
+                [sys.executable, *interpreter_args, "oracle", "list"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        script = oracle_list("-c", "from iasltools.cli import console_main; console_main()")
+        assert script.returncode == 0
+        assert json.loads(script.stdout)["checks"] == list(oracle.CHECK_IDS)
+        ran = oracle_list("-m", module)
+        assert (ran.returncode, ran.stdout) == (script.returncode, script.stdout)
 
 
 class TestDeterminism:

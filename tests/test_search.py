@@ -221,6 +221,79 @@ class TestKUniform:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# a triangle plus a pendant vertex
+_PAW = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
+class TestOddCycleMemo:
+    """find_k_uniform(cycles=...): one run's verdicts on its odd cycles."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_warm_memo_keeps_every_certificate(self, k):
+        graphs = _small_graphs() + list(enumerate_graphs(5, connected_only=True))
+        cfg = SearchConfig(element_bound=4, size_bound=2)
+        for mode in ("any", "weak", "strong"):
+            cold = [find_k_uniform(g, k, cfg, mode).to_json() for g in graphs]
+            memo = {}
+            forward = [find_k_uniform(g, k, cfg, mode, cycles=memo).to_json()
+                       for g in graphs]
+            assert set(memo) == {(3, k, mode, 4, 2), (5, k, mode, 4, 2)}
+            memo = {}
+            backward = [find_k_uniform(g, k, cfg, mode, cycles=memo).to_json()
+                        for g in reversed(graphs)]
+            assert forward == cold
+            assert backward[::-1] == cold
+
+    def test_each_odd_cycle_is_searched_once(self, monkeypatch):
+        searched = []
+        backtrack = search._backtrack
+
+        def spy(g, *args):
+            searched.append(g.vertex_count)
+            return backtrack(g, *args)
+
+        monkeypatch.setattr(search, "_backtrack", spy)
+        cfg = SearchConfig(element_bound=5, size_bound=3)
+        memo = {}
+        cases = [
+            (complete_graph(5), 2, "exhausted", [3]),      # C3 refutes K5
+            (complete_graph(4), 2, "exhausted", []),       # ... and K4, unsearched
+            (complete_graph(3), 2, "exhausted", []),       # ... and C3 itself
+            (cycle_graph(5), 2, "exhausted", [5]),         # L = n: g's verdict kept
+            (complete_graph(4), 3, "witness", [3, 4]),     # C3 has a witness
+            (_PAW, 3, "witness", [4]),                     # ... so only g is searched
+        ]
+        for g, k, kind, sizes in cases:
+            searched.clear()
+            assert find_k_uniform(g, k, cfg, cycles=memo).kind == kind
+            assert searched == sizes
+        assert memo == {(3, 2, "any", 5, 3): True, (5, 2, "any", 5, 3): True,
+                        (3, 3, "any", 5, 3): False}
+
+    def test_verdict_of_a_larger_graph_is_not_kept(self):
+        # at 4/2, k=3: C3 has a witness but K4 is exhausted
+        cfg = SearchConfig(element_bound=4, size_bound=2)
+        memo = {}
+        assert find_k_uniform(complete_graph(4), 3, cfg, cycles=memo).kind == "exhausted"
+        assert memo == {(3, 3, "any", 4, 2): False}
+        for g in (_PAW, complete_graph(3)):
+            warm = find_k_uniform(g, 3, cfg, cycles=memo)
+            assert warm.kind == "witness"
+            assert warm.to_json() == find_k_uniform(g, 3, cfg).to_json()
+
+    def test_zero_budget_with_a_warm_memo(self):
+        memo = {}
+        cfg = SearchConfig(element_bound=5, size_bound=3)
+        for k in (2, 3):
+            find_k_uniform(complete_graph(4), k, cfg, cycles=memo)
+        warmed = dict(memo)
+        broke = SearchConfig(element_bound=5, size_bound=3, time_budget=0.0)
+        for g in (complete_graph(5), complete_graph(3), _PAW):
+            for k in (2, 3):
+                assert find_k_uniform(g, k, broke, cycles=memo).kind == "budget_exceeded"
+        assert memo == warmed == {(3, 2, "any", 5, 3): True, (3, 3, "any", 5, 3): False}
+
+
 class TestBinomialBound:
     def test_holds_on_uniform_witnesses(self):
         from iasltools.construct import canonical_iasi, strongly_uniform_iasi
