@@ -59,7 +59,7 @@ class IntegerSet:
         return x in self.elements
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(str(x) for x in self.elements)
+        return "{%s}" % ",".join(map(str, self.elements))
 
     @property
     def max_element(self) -> int:
@@ -76,7 +76,7 @@ def _trusted(elements: tuple[int, ...]) -> IntegerSet:
     value is indistinguishable from one built through IntegerSet().
     """
     out = object.__new__(IntegerSet)
-    object.__setattr__(out, "elements", elements)
+    out.__dict__["elements"] = elements
     return out
 
 
@@ -188,8 +188,12 @@ def compatibility_table(a: IntegerSet, b: IntegerSet) -> CompatibilityTable:
             s = x + y
             counts[s] = get(s, 0) + 1
     index = len(counts)
+    largest = max(counts.values())
     saturation = min(len(ae), len(be))
-    saturated = tuple(sorted([s for s, c in counts.items() if c == saturation]))
+    saturated = ()
+    # no class exceeds the smaller size: one is saturated only if the largest is
+    if largest == saturation:
+        saturated = tuple(sorted([s for s, c in counts.items() if c == saturation]))
     return CompatibilityTable(
-        a, b, index, len(ae) * len(be) - index, max(counts.values()), saturated
+        a, b, index, len(ae) * len(be) - index, largest, saturated
     )

@@ -63,7 +63,7 @@ def ground_set(f: SetLabeling) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeRecord:
     u: int
     v: int
@@ -72,6 +72,14 @@ class EdgeRecord:
     neglecting_number: int
     weak: bool
     strong: bool
+
+    def __init__(self, u, v, label, size, neglecting_number, weak, strong):
+        # One dict update, not the seven frozen-field setattr calls of the
+        # generated __init__: classify builds one record per edge.
+        self.__dict__.update(
+            u=u, v=v, label=label, size=size,
+            neglecting_number=neglecting_number, weak=weak, strong=strong,
+        )
 
 
 @dataclass(frozen=True)
@@ -131,60 +139,63 @@ def classify(f: SetLabeling) -> ClassificationReport:
     injective edge map over duplicated vertex labels and vice versa.
     """
     g = f.graph
+    labels = f.labels
+    # the elements tuples and sizes are read once: len() and hash() of an
+    # IntegerSet run Python code, of a tuple they do not
+    elements = [lab.elements for lab in labels]
+    sizes_of = [len(e) for e in elements]
     violations: list[Violation] = []
 
-    seen: dict[IntegerSet, int] = {}
+    seen: dict[tuple[int, ...], int] = {}
     iasl = True
-    for v in g.vertices():
-        lab = f.labels[v]
-        if lab in seen:
+    for v, e in enumerate(elements):
+        if e in seen:
             iasl = False
             violations.append(
-                Violation("vertex-label-duplicate", (seen[lab], v), f"both get {lab}")
+                Violation("vertex-label-duplicate", (seen[e], v), f"both get {labels[v]}")
             )
         else:
-            seen[lab] = v
+            seen[e] = v
 
     records: list[EdgeRecord] = []
-    edge_seen: dict[IntegerSet, tuple[int, int]] = {}
+    edge_seen: dict[tuple[int, ...], tuple[int, int]] = {}
     iasi = True
     weak = True
     strong = True
     for u, v in g.edges:
-        a, b = f.labels[u], f.labels[v]
-        lab = sumset(a, b)
-        size = len(lab)
-        e_weak = size == max(len(a), len(b))
-        e_strong = size == len(a) * len(b)
-        records.append(
-            EdgeRecord(u, v, lab, size, len(a) * len(b) - size, e_weak, e_strong)
-        )
-        if lab in edge_seen:
+        la, lb = sizes_of[u], sizes_of[v]
+        lab = sumset(labels[u], labels[v])
+        e = lab.elements
+        size = len(e)
+        e_weak = size == max(la, lb)
+        e_strong = size == la * lb
+        records.append(EdgeRecord(u, v, lab, size, la * lb - size, e_weak, e_strong))
+        if e in edge_seen:
             if iasi:
                 iasi = False
                 violations.append(
-                    Violation("edge-label-duplicate", (edge_seen[lab], (u, v)),
+                    Violation("edge-label-duplicate", (edge_seen[e], (u, v)),
                               f"both get {lab}")
                 )
         else:
-            edge_seen[lab] = (u, v)
+            edge_seen[e] = (u, v)
         if not e_weak and weak:
             weak = False
             violations.append(
                 Violation("weak-failure", ((u, v),),
-                          f"size {size} != max({len(a)},{len(b)})")
+                          f"size {size} != max({la},{lb})")
             )
         if not e_strong and strong:
             strong = False
             violations.append(
                 Violation("strong-failure", ((u, v),),
-                          f"size {size} != {len(a)}*{len(b)}")
+                          f"size {size} != {la}*{lb}")
             )
 
     vacuous = not g.edges
     sizes = {r.size for r in records}
     edge_k = sizes.pop() if len(sizes) == 1 else None
-    vsizes = {len(l) for l in f.labels}
+    vsizes = set(sizes_of)
     vertex_l = vsizes.pop() if len(vsizes) == 1 else None
     completely = None
     if edge_k is not None and vertex_l is not None:

@@ -367,20 +367,21 @@ def _check_saturated_class(check, d):
     polys = _count_polys(subsets)
     top = 2 * d.max_element + 1
     sums = range(top)
-    for a, sa, pa in zip(subsets, sets, polys):
-        la = len(a)
-        for b, sb, pb in zip(subsets, sets, polys):
-            lb = len(b)
+    rows = [(a, len(a), sa, pa) for a, sa, pa in zip(subsets, sets, polys)]
+    for a, la, sa, pa in rows:
+        for b, lb, sb, pb in rows:
             table = compatibility_table(sa, sb)
             counts = (pa * pb).to_bytes(top, "little")
             floor = min(la, lb)
             classes = top - counts.count(0)
             largest = max(counts)
-            saturated = tuple(compress(sums, map(floor.__eq__, counts)))
+            # a count equals floor only if the largest does (above it, ok fails)
+            saturated = (tuple(compress(sums, map(floor.__eq__, counts)))
+                         if largest == floor else ())
             ok = (
                 largest <= floor
                 and table.max_class_size == largest
-                and table.index == classes == len(sumset(sa, sb))
+                and table.index == classes == len(sumset(sa, sb).elements)
                 and table.neglecting_number == la * lb - classes
                 and table.saturated_sums == saturated
             )

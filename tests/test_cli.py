@@ -534,6 +534,8 @@ class TestEntryPoints:
         assert json.loads(script.stdout)["checks"] == list(oracle.CHECK_IDS)
         ran = oracle_list("-m", module)
         assert (ran.returncode, ran.stdout) == (script.returncode, script.stdout)
+        # no runpy warning: importing the package must not import cli first
+        assert ran.stderr == ""
 
 
 class TestDeterminism:

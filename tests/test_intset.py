@@ -1,7 +1,7 @@
 """Exact sum-set arithmetic."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iasltools.intset import (
     DEFAULT_ELEMENT_BOUND, CompatibilityTable, ElementBoundError, IntegerSet,
@@ -187,6 +187,25 @@ def _brute_table(a, b):
         "max_class_size": max(len(p) for _, p in classes),
         "saturated_sums": tuple(s for s, p in classes if len(p) == floor),
     }
+
+
+# up to 12 elements from the 25 largest allowed values: sums collide
+# often, so large and saturated classes are common
+near_bound_sets = st.frozensets(
+    st.integers(DEFAULT_ELEMENT_BOUND - 24, DEFAULT_ELEMENT_BOUND), min_size=1, max_size=12
+).map(IntegerSet)
+
+
+class TestCompatibilityTableNearBound:
+    @settings(max_examples=300, deadline=None)
+    @given(near_bound_sets, near_bound_sets)
+    def test_matches_brute_force(self, a, b):
+        t = compatibility_table(a, b)
+        want = _brute_table(a.elements, b.elements)
+        assert (t.index, t.neglecting_number, t.max_class_size, t.saturated_sums) == (
+            want["index"], want["neglecting_number"], want["max_class_size"],
+            want["saturated_sums"])
+        assert t.classes == want["classes"]
 
 
 class TestExhaustiveDifferential:

@@ -1,6 +1,8 @@
 """Classification of set-labelings and the structural equivalences."""
 
+import dataclasses
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from iasltools.graph import (
     complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
 )
-from iasltools.intset import IntegerSet, iset, sumset
+from iasltools.intset import (
+    DEFAULT_ELEMENT_BOUND, CompatibilityTable, IntegerSet, _trusted,
+    compatibility_table, iset, sumset,
+)
 from iasltools.labeling import (
-    LabelingError, SetLabeling, classify, ground_set, induced_edge_label,
+    EdgeRecord, LabelingError, SetLabeling, classify, ground_set, induced_edge_label,
     labeling_from_json, labeling_to_json, strong_structure_check,
     weak_structure_check,
 )
@@ -222,3 +227,182 @@ class TestKUniform:
         rep = classify(lab(path_graph(2), (0, 1), 2))    # edge label {2,3}
         assert rep.is_k_uniform(2)
         assert not rep.is_k_uniform(1) and not rep.is_k_uniform(3)
+
+
+# ---------------------------------------------------------------------------
+# classify against a reference written from the definitions
+
+def _braced(elements) -> str:
+    return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
+
+
+def _reference_report(g, labels) -> dict:
+    """classify(f).to_json() after a JSON round trip, for labels given as
+    element tuples: each verdict from its definition, each violation kind
+    at the first place its definition fails (every later duplicate of a
+    vertex label, the first duplicate edge label only)."""
+    sets = [frozenset(l) for l in labels]
+    edges = [list(e) for e in g.edges]
+    sums = [frozenset(x + y for x in sets[u] for y in sets[v]) for u, v in edges]
+    products = [len(sets[u]) * len(sets[v]) for u, v in edges]
+    widest = [max(len(sets[u]), len(sets[v])) for u, v in edges]
+
+    def first(flags):
+        return next((i for i, flag in enumerate(flags) if flag), None)
+
+    violations = []
+    for v, s in enumerate(sets):
+        if s in sets[:v]:
+            violations.append({"kind": "vertex-label-duplicate",
+                               "where": [sets.index(s), v], "note": f"both get {_braced(s)}"})
+    dup = first(s in sums[:i] for i, s in enumerate(sums))
+    not_weak = first(len(s) != w for s, w in zip(sums, widest))
+    not_strong = first(len(s) != p for s, p in zip(sums, products))
+    for i, (u, v) in enumerate(edges):
+        a, b, size = len(sets[u]), len(sets[v]), len(sums[i])
+        if i == dup:
+            violations.append({"kind": "edge-label-duplicate",
+                               "where": [edges[sums.index(sums[i])], [u, v]],
+                               "note": f"both get {_braced(sums[i])}"})
+        if i == not_weak:
+            violations.append({"kind": "weak-failure", "where": [[u, v]],
+                               "note": f"size {size} != max({a},{b})"})
+        if i == not_strong:
+            violations.append({"kind": "strong-failure", "where": [[u, v]],
+                               "note": f"size {size} != {a}*{b}"})
+    edge_sizes = {len(s) for s in sums}
+    vertex_sizes = {len(s) for s in sets}
+    k = edge_sizes.pop() if len(edge_sizes) == 1 else None
+    l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
+    return {
+        "is_iasl": len(set(sets)) == len(sets),
+        "is_iasi": len(set(sums)) == len(sums),
+        "is_weak": not_weak is None,
+        "is_strong": not_strong is None,
+        "edge_uniform_k": k,
+        "vertex_uniform_l": l,
+        "completely_uniform": [k, l] if k is not None and l is not None else None,
+        "vacuous_edges": not edges,
+        "per_edge": [
+            {"u": u, "v": v, "label": sorted(s), "size": len(s),
+             "neglecting_number": p - len(s), "weak": len(s) == w, "strong": len(s) == p}
+            for (u, v), s, p, w in zip(edges, sums, products, widest)
+        ],
+        "violations": violations,
+    }
+
+
+_SUBSETS_OF_3 = [tuple(x for x in range(3) if mask >> x & 1) for mask in range(1, 8)]
+
+# duplicate vertex labels, duplicate edge labels over distinct vertex labels
+# ({0,2}+{0,1} = {0,1,2}+{0,1}), and both, on graphs past 3 vertices
+_DUPLICATE_CASES = [
+    (complete_graph(4), [(0,), (0,), (0,), (0,)]),
+    (cycle_graph(4), [(0, 2), (0, 1), (0, 1, 2), (0, 1)]),
+    (path_graph(3), [(1, 3), (0, 1), (1, 2, 3)]),
+    (complete_graph(5), [(0, 1), (2,), (0, 1), (2,), (5, 9)]),
+    (cycle_graph(5), [(0, 4), (1,), (0, 4), (3, 7), (1,)]),
+    (empty_graph(3), [(6,), (6,), (6,)]),
+    (path_graph(4), [(0, 1, 3), (0, 2), (1, 2), (0, 2)]),
+]
+
+
+class TestClassifyAgainstReference:
+    def test_every_labeling_of_every_graph_on_at_most_three_vertices(self):
+        cases = 0
+        for n in range(4):
+            for g in enumerate_graphs(n):
+                for labels in product(_SUBSETS_OF_3, repeat=n):
+                    rep = classify(SetLabeling(g, [IntegerSet(l) for l in labels]))
+                    got = json.loads(json.dumps(rep.to_json()))
+                    assert got == _reference_report(g, labels), (g.edges, labels)
+                    cases += 1
+        assert cases == 1 + 7 + 2 * 7 ** 2 + 8 * 7 ** 3
+
+    @pytest.mark.parametrize("g, labels", _DUPLICATE_CASES,
+                             ids=[str(i) for i in range(len(_DUPLICATE_CASES))])
+    def test_duplicate_labels(self, g, labels):
+        rep = classify(SetLabeling(g, [IntegerSet(l) for l in labels]))
+        assert json.loads(json.dumps(rep.to_json())) == _reference_report(g, labels)
+        assert not (rep.is_iasl and rep.is_iasi)
+
+
+def _built_field_by_field(cls, values: dict):
+    """The value a generated frozen __init__ builds: one setattr per field."""
+    out = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(out, f.name, values[f.name])
+    return out
+
+
+def _field_values(value) -> dict:
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+def _assert_indistinguishable(fast, built):
+    assert type(fast) is type(built)
+    assert fast == built and not fast != built
+    assert hash(fast) == hash(built)
+    assert repr(fast) == repr(built)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(built)
+    assert list(vars(fast).items()) == list(vars(built).items())
+
+
+class TestFastConstructors:
+    """Values built without the validating or generated __init__ (a trusted
+    IntegerSet, a CompatibilityTable, an EdgeRecord) cannot be told apart
+    from values built through it."""
+
+    @pytest.mark.parametrize("elements", [(0,), (1, 2, 5), (3, DEFAULT_ELEMENT_BOUND)])
+    def test_trusted_integer_set(self, elements):
+        fast = _trusted(elements)
+        built = IntegerSet(reversed(elements))
+        _assert_indistinguishable(fast, built)
+        assert str(fast) == str(built) and len(fast) == len(built)
+        assert not fast < built and not built < fast and fast <= built
+        assert len({fast, built}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.elements = (9,)
+        assert fast.elements == elements
+
+    def test_sumset_results(self):
+        for a, b in [((0, 1), (0, 1)), ((1, 4), (2,)), ((0, 2, 7), (1, 3))]:
+            got = sumset(IntegerSet(a), IntegerSet(b))
+            _assert_indistinguishable(got, IntegerSet([x + y for x in a for y in b]))
+
+    @pytest.mark.parametrize("a, b", [((1, 2), (3, 4)), ((0, 1, 2), (0, 1, 2)),
+                                      ((0, 5), (0, 1, 3)), ((4,), (0, 9))])
+    def test_compatibility_table(self, a, b):
+        sa, sb = IntegerSet(a), IntegerSet(b)
+        fast = compatibility_table(sa, sb)
+        built = _built_field_by_field(CompatibilityTable, _field_values(fast))
+        _assert_indistinguishable(fast, built)
+        # the lazy classes: equal once read, and the values stay indistinguishable
+        assert fast.classes == built.classes
+        assert fast.classes[0][0] == a[0] + b[0]
+        _assert_indistinguishable(fast, built)
+        for name in ("index", "saturated_sums", "classes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, name, ())
+
+    def test_edge_records_of_classify(self):
+        f = lab(complete_graph(4), (0, 1), 2, (0, 1), (3, 5, 8))
+        for rec in classify(f).per_edge:
+            _assert_indistinguishable(
+                rec, _built_field_by_field(EdgeRecord, _field_values(rec)))
+
+    def test_edge_record_positional_and_keyword(self):
+        values = dict(u=0, v=2, label=iset(1, 3), size=2, neglecting_number=0,
+                      weak=True, strong=True)
+        built = _built_field_by_field(EdgeRecord, values)
+        _assert_indistinguishable(EdgeRecord(*values.values()), built)
+        _assert_indistinguishable(EdgeRecord(**values), built)
+        assert EdgeRecord(**values) != EdgeRecord(**{**values, "weak": False})
+
+    def test_edge_record_still_frozen(self):
+        rec = EdgeRecord(0, 1, iset(3), 1, 0, True, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.size = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.label
+        assert rec.size == 1
