@@ -77,6 +77,10 @@ class Graph:
             neigh[v].add(u)
         return tuple(frozenset(s) for s in neigh)
 
+    @cached_property
+    def _graph6(self) -> str:
+        return encode_graph6(self.vertex_count, self.edges)
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -139,14 +143,24 @@ def build(vertex_count: int, edges) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string."""
+    """Decode one graph6 string.
+
+    The graph keeps text as its encoding, so write_graph6 returns it
+    without re-encoding: the strict decoder accepts only the canonical
+    string of a graph, the one encode_graph6 writes.
+    """
     n, edges = decode_graph6(text)
-    return Graph(n, edges)
+    g = _trusted(n, tuple(sorted(edges)))
+    g.__dict__["_graph6"] = text
+    return g
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph canonically; parse_graph6(write_graph6(g)) == g."""
-    return encode_graph6(g.vertex_count, g.edges)
+    """Encode a graph canonically; parse_graph6(write_graph6(g)) == g.
+
+    The encoding is kept on g, so each graph is encoded at most once.
+    """
+    return g._graph6
 
 
 # ---------------------------------------------------------------------------

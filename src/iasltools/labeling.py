@@ -216,8 +216,10 @@ def classify(f: SetLabeling) -> ClassificationReport:
 
 def weak_structure_check(f: SetLabeling) -> tuple[bool, tuple[int, int] | None]:
     """Every edge has a singleton endpoint; witness is the first bad edge."""
+    # len() of an IntegerSet runs Python code, of its elements tuple it does not
+    sizes = [len(lab.elements) for lab in f.labels]
     for u, v in f.graph.edges:
-        if min(len(f.labels[u]), len(f.labels[v])) != 1:
+        if sizes[u] > 1 and sizes[v] > 1:
             return False, (u, v)
     return True, None
 
@@ -226,8 +228,12 @@ def strong_structure_check(
     f: SetLabeling,
 ) -> tuple[bool, tuple[tuple[int, int], tuple[int, ...]] | None]:
     """Adjacent difference sets are disjoint; witness carries the overlap."""
-    diffs = [difference_set(l) for l in f.labels]
+    labels = f.labels
+    diffs: dict[int, frozenset[int]] = {}      # built as edges reach their endpoints
     for u, v in f.graph.edges:
+        for w in (u, v):
+            if w not in diffs:
+                diffs[w] = difference_set(labels[w])
         shared = diffs[u] & diffs[v]
         if shared:
             return False, ((u, v), tuple(sorted(shared)))

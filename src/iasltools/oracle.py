@@ -16,7 +16,7 @@ and reports empty domains and exhausted search budgets as inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import combinations, compress, permutations
 from itertools import product as iproduct
 from typing import Callable
 
@@ -256,13 +256,48 @@ def _check_heredity(check, d):
     return {"restrictions_checked": cases}
 
 
+def _indexes(g: Graph, ground) -> bool:
+    """Whether some labeling of g by distinct non-empty subsets of ground has
+    pairwise distinct edge sums: a brute force over every such labeling."""
+    subsets = [tuple(ground[i] for i in s) for s in _subsets(len(ground) - 1)]
+    sums = [[_sums_of(a, b) for b in subsets] for a in subsets]
+    edges = g.edges
+    return any(
+        len({sums[p[u]][p[v]] for u, v in edges}) == len(edges)
+        for p in permutations(range(len(subsets)), g.vertex_count)
+    )
+
+
+def _least_ground_set(g: Graph, size: int, cert, element_bound: int) -> bool:
+    """Whether cert proves size the least ground-set size for g: its witness
+    labels g by distinct non-empty subsets of a size-element ground set
+    within {0..element_bound}, with distinct edge sums, and size - 1 fails,
+    by pigeonhole (fewer non-empty subsets than vertices) or by brute force
+    over every ground set of that size."""
+    listed = cert.data["ground_set"]
+    ground = set(listed)
+    labels = [lab.elements for lab in cert.witness.labels]
+    sums = [_sums_of(labels[u], labels[v]) for u, v in g.edges]
+    if not (len(ground) == len(listed) == size
+            and ground <= set(range(element_bound + 1))
+            and len(set(labels)) == len(labels) == g.vertex_count
+            and all(lab and set(lab) <= ground for lab in labels)
+            and len(set(sums)) == len(sums)):
+        return False
+    return size == 0 or (1 << (size - 1)) - 1 < g.vertex_count or not any(
+        _indexes(g, smaller) for smaller in combinations(range(element_bound + 1), size - 1)
+    )
+
+
 @_check("ground-set-lower-bound", "{graphs}", graphs=_CONNECTED_GRAPHS)
 def _check_ground_set_lower_bound(check, d):
+    """min_ground_set_size's size, re-derived from its certificate with this
+    module's own arithmetic."""
     for g in d.graphs:
         size, cert = min_ground_set_size(g, check.config)
         _settled(cert)
         lower = g.vertex_count.bit_length()
-        if size is None or size < lower:
+        if size is None or not _least_ground_set(g, size, cert, check.config.element_bound):
             _fail(check, {
                 "graph6": write_graph6(g), "size": size, "lower_bound": lower,
                 "certificate": cert.to_json(),

@@ -118,12 +118,15 @@ def _twin_constraints(g: Graph) -> tuple[int, ...]:
     without changing any verdict, so forcing ascending label indices
     along a twin chain prunes without losing witnesses.
     """
+    masks = [0] * g.vertex_count
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     out = []
-    for v in g.vertices():
+    for v, mv in enumerate(masks):
         prev = -1
-        nv = g.adjacency[v] - {v}
         for u in range(v):
-            if g.adjacency[u] - {v} == nv - {u}:
+            if masks[u] & ~(1 << v) == mv & ~(1 << u):
                 prev = u
         out.append(prev)
     return tuple(out)
@@ -151,6 +154,22 @@ def _sum_keys(labels) -> list[list[int]]:
                 s |= mi << e
             row[j] = key[j][i] = s
     return key
+
+
+@lru_cache(maxsize=8)
+def _ground_tables(ground: tuple[int, ...]):
+    """The non-empty subsets of ground as IntegerSets, ascending by position
+    bitmask, and the sum-set key of every pair of them.
+
+    A table has (2^m - 1)^2 entries for an m-element ground set, about
+    24 bytes each on CPython, so the cache holds few: at element bound 12
+    the most it can retain is the one 13-element table (67 M entries) and
+    seven 12-element ones (16.8 M each), 184 M entries or 4.4 GB.  The
+    scan builds those only for graphs on 2,048 or more vertices, or after
+    every smaller size failed; a 3-element table has 49 entries.
+    """
+    subsets = _subsets(ground)
+    return tuple(IntegerSet(s) for s in subsets), _sum_keys(subsets)
 
 
 @lru_cache(maxsize=32)
@@ -202,8 +221,7 @@ def _search_order(g: Graph) -> list[int]:
             continue
         seen.add(start)
         queue = [start]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             order.append(v)
             for w in sorted(g.adjacency[v]):
                 if w not in seen:
@@ -312,11 +330,11 @@ def min_ground_set_size(
         for m in range(lower, config.element_bound + 2):
             # first X, in combinations order, whose subsets carry a set-indexer
             for ground in combinations(range(config.element_bound + 1), m):
-                subsets = _subsets(ground)
-                labels = _backtrack(g, subsets, None, _sum_keys(subsets), deadline)
+                subsets, key = _ground_tables(ground)
+                labels = _backtrack(g, subsets, None, key, deadline)
                 if labels is None:
                     continue
-                witness = SetLabeling(g, [IntegerSet(lab) for lab in labels])
+                witness = SetLabeling(g, labels)
                 report = classify(witness)
                 if not (report.is_iasl and report.is_iasi):
                     raise AssertionError("witness failed re-verification")

@@ -5,6 +5,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
+from iasltools import graph
 from iasltools.graph import (
     DuplicateEdgeWarning, Graph, GraphError, build, complement, complete_graph,
     contract_edge, corona, cycle_graph, empty_graph, enumerate_graphs,
@@ -12,6 +13,7 @@ from iasltools.graph import (
     path_graph, product, rooted_product, star_graph, subdivide_edge, to_dot,
     total_graph, union, write_graph6,
 )
+from iasltools.graph6 import decode_graph6, encode_graph6
 
 
 def _edge_set(g: Graph):
@@ -57,6 +59,29 @@ class TestCore:
     def test_graph6_round_trip(self):
         g = cycle_graph(5)
         assert parse_graph6(write_graph6(g)) == g
+
+    def test_parsed_graph_equals_the_validated_one(self):
+        for n in range(6):
+            for g in enumerate_graphs(n):
+                text = encode_graph6(n, g.edges)
+                parsed = parse_graph6(text)
+                built = Graph(*decode_graph6(text))
+                assert parsed == built and hash(parsed) == hash(built)
+                assert (parsed.edges, parsed.names) == (built.edges, None)
+                assert write_graph6(parsed) is text
+                assert write_graph6(built) == text
+
+    def test_each_graph_is_encoded_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, edges):
+            calls.append(n)
+            return encode_graph6(n, edges)
+
+        monkeypatch.setattr(graph, "encode_graph6", counted)
+        g, parsed = cycle_graph(5), parse_graph6("Dhc")
+        assert [write_graph6(g), write_graph6(g), write_graph6(parsed)] == ["Dhc"] * 3
+        assert calls == [5]
 
 
 class TestFixedFamilies:

@@ -152,3 +152,65 @@ class TestStrictness:
             encode_graph6(2, [(0, 2)])
         with pytest.raises((ValueError, Graph6Error)):
             encode_graph6(2, [(1, 1)])
+
+
+class TestAcceptedIsCanonical:
+    """Every string the decoder accepts is the encoding of what it decodes
+    to, so a parsed graph may keep its input text as its encoding."""
+
+    @staticmethod
+    def _reencodes_or_rejects(text):
+        try:
+            n, edges = decode_graph6(text)
+        except Graph6Error:
+            return False
+        assert encode_graph6(n, edges) == text, repr(text)
+        return True
+
+    def test_every_short_string_on_up_to_five_vertices(self):
+        # a size character for n <= 5, then up to two characters from the
+        # whole range: every body length and padding the decoder must judge
+        alphabet = [chr(c) for c in range(62, 128)]
+        accepted = 0
+        for n in range(6):
+            head = chr(63 + n)
+            bodies = [""] + alphabet + [a + b for a in alphabet for b in alphabet]
+            accepted += sum(self._reencodes_or_rejects(head + body) for body in bodies)
+        assert accepted == sum(1 << (n * (n - 1) // 2) for n in range(6))
+
+    @pytest.mark.parametrize("sizes", [(0, 20), (63, 70)], ids=["1-byte", "4-byte"])
+    def test_fuzzed_near_valid_strings(self, sizes):
+        rng = random.Random(sizes[0])
+        accepted = 0
+        for _ in range(400):
+            n, edges = _random_graph(rng, rng.randrange(*sizes))
+            chars = list(encode_graph6(n, edges))
+            pos = rng.randrange(len(chars))
+            op = rng.randrange(3)
+            if op == 0:
+                chars[pos] = chr(rng.randrange(60, 130))
+            elif op == 1:
+                del chars[pos]
+            else:
+                chars.insert(pos, chr(rng.randrange(60, 130)))
+            accepted += self._reencodes_or_rejects("".join(chars))
+        assert 0 < accepted < 400
+
+    def test_fuzzed_headers(self):
+        """A valid body behind every size-header form of its order, and
+        behind a mutated 4- or 8-byte header: accepted only as encoded."""
+        rng = random.Random(8)
+        for _ in range(200):
+            n, edges = _random_graph(rng, rng.randrange(0, 70))
+            text = encode_graph6(n, edges)
+            body = text[4:] if n > 62 else text[1:]
+            heads = [chr(63 + n)] if n <= 62 else []
+            heads.append("~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)))
+            heads.append("~~" + "".join(chr(63 + (n >> s & 63))
+                                        for s in (30, 24, 18, 12, 6, 0)))
+            for head in heads:
+                assert self._reencodes_or_rejects(head + body) == (head + body == text)
+            for head in heads[-2:]:
+                chars = list(head)
+                chars[rng.randrange(len(chars))] = chr(rng.randrange(62, 128))
+                self._reencodes_or_rejects("".join(chars) + body)

@@ -8,10 +8,10 @@ import json
 import pytest
 
 from iasltools.graph import (
-    complete_graph, cycle_graph, empty_graph, parse_graph6, path_graph, star_graph,
-    write_graph6,
+    complete_graph, cycle_graph, empty_graph, enumerate_graphs, parse_graph6,
+    path_graph, star_graph, write_graph6,
 )
-from iasltools import oracle
+from iasltools import oracle, search
 from iasltools.intset import IntegerSet, sumset
 from iasltools.labeling import (
     SetLabeling, classify, labeling_to_json, strong_structure_check,
@@ -303,6 +303,51 @@ class TestFaultInjection:
         assert check.verdict == "counterexample"
         assert check.counterexamples == records
         assert details == {"labelings": labelings, "classify_crosschecks": labelings // 199}
+
+
+class TestGroundSetLowerBound:
+    """The check re-derives min_ground_set_size's answer with its own
+    arithmetic, so a search that misses or misreports a witness fails it."""
+
+    def test_brute_force_matches_the_search_engine(self):
+        graphs = [g for n in range(5) for g in enumerate_graphs(n)]
+        for m in range(1, 4):
+            for ground in itertools.combinations(range(4), m):
+                subsets, key = search._ground_tables(ground)
+                for g in graphs:
+                    found = search._backtrack(g, subsets, None, key,
+                                              search._Deadline(60.0))
+                    assert oracle._indexes(g, ground) == (found is not None), \
+                        (write_graph6(g), ground)
+
+    def test_brute_force_rules_out_a_ground_set(self):
+        # K7's 21 edge sums clash over every labeling from {0,1,2}, not {0,1,3}
+        assert not oracle._indexes(complete_graph(7), (0, 1, 2))
+        assert oracle._indexes(complete_graph(7), (0, 1, 3))
+
+    @pytest.mark.parametrize("labels, ground, size, verdict", [
+        ([[0], [1], [2], [0, 1]], [0, 1, 2], 3, "pass"),
+        # a valid witness over four elements, where three suffice
+        ([[0], [1], [2], [3]], [0, 1, 2, 3], 4, "counterexample"),
+        ([[0], [1], [2], [0]], [0, 1, 2], 3, "counterexample"),         # repeated label
+        ([[0], [1], [2], [0, 1]], [0, 1, 2, 3], 3, "counterexample"),   # ground too big
+        ([[0], [1], [3], [0, 1]], [0, 1, 2], 3, "counterexample"),      # label outside
+        ([[0, 1], [1], [1, 2], [0]], [0, 1, 2], 3, "counterexample"),   # sums clash
+        ([[0], [1], [9], [0, 1]], [0, 1, 9], 3, "counterexample"),      # past the bound
+    ], ids=["honest", "overstated", "repeated", "wide", "outside", "clash", "bound"])
+    def test_certificate_is_re_verified(self, monkeypatch, labels, ground, size, verdict):
+        p4 = path_graph(4)
+        f = SetLabeling(p4, [IntegerSet(lab) for lab in labels])
+
+        def stub(g, config):
+            return size, Certificate("witness", config, "stub", f,
+                                     {"size": size, "ground_set": ground,
+                                      "lower_bound": 3})
+
+        monkeypatch.setattr(oracle, "min_ground_set_size", stub)
+        check = run_check("ground-set-lower-bound", corpus=Corpus(graphs=(p4,)))
+        assert check.verdict == verdict
+        assert check.details == {"graphs": 1}
 
 
 class TestCounterexampleCertificates:

@@ -497,6 +497,59 @@ class TestAgainstBruteForce:
 
 
 # ---------------------------------------------------------------------------
+# the per-run tables and the bitmask twin rule
+
+def _frozenset_twins(g):
+    """For each vertex, the largest smaller twin, from neighbourhood sets."""
+    out = []
+    for v in g.vertices():
+        prev = -1
+        for u in range(v):
+            if g.adjacency[u] - {v} == g.adjacency[v] - {u}:
+                prev = u
+        out.append(prev)
+    return tuple(out)
+
+
+def _sweep_graphs():
+    """The 804 graphs with <= 4 vertices or connected on 5."""
+    return _small_graphs() + list(enumerate_graphs(5, connected_only=True))
+
+
+class TestGroundTables:
+    def test_twin_masks_match_neighbourhood_sets(self):
+        for g in _small_graphs(6):
+            assert search._twin_constraints(g) == _frozenset_twins(g), write_graph6(g)
+
+    @pytest.mark.parametrize("element_bound", [2, 8])
+    def test_certificates_do_not_depend_on_the_cache(self, element_bound):
+        cfg = SearchConfig(element_bound=element_bound)
+        graphs = _sweep_graphs()
+        assert len(graphs) == 804
+
+        def certificates(order, cold):
+            out = {}
+            for g in order:
+                if cold:
+                    search._ground_tables.cache_clear()
+                size, cert = min_ground_set_size(g, cfg)
+                out[write_graph6(g)] = json.dumps([size, cert.to_json()], sort_keys=True)
+            return out
+
+        cold = certificates(graphs, cold=True)
+        search._ground_tables.cache_clear()
+        assert certificates(graphs, cold=False) == cold
+        assert certificates(graphs[::-1], cold=False) == cold
+
+    def test_one_table_per_batch(self, tmp_path):
+        graphs = list(enumerate_graphs(5, connected_only=True))[:40]
+        search._ground_tables.cache_clear()
+        _batch_digest(tmp_path, graphs, "minsize")
+        info = search._ground_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 39)
+
+
+# ---------------------------------------------------------------------------
 # pinned output bytes
 
 def _batch_digest(tmp_path, graphs, *argv):
