@@ -2,7 +2,9 @@
 theorem checks, graph operations, and format conversion.
 
 Exit codes: 0 success or pass, 1 counterexample or an explicit none,
-2 usage error or malformed input, 3 search budget exhausted.  JSON
+2 usage error or malformed input, 3 search budget exhausted, and 141
+when the reader of standard output closed it early (as in `| head`),
+with nothing printed to stderr.  JSON
 output is the contract and is byte-stable for identical inputs; text
 output is a short human summary.  A graph argument is a graph6 string,
 or a path to a file of graph6 lines which switches the command into
@@ -449,8 +451,21 @@ def main(argv=None) -> int:
         return 2
 
 
+_BROKEN_PIPE = 141                        # 128 + SIGPIPE, as a shell reports it
+
+
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so the interpreter's
+        # own flush at exit finds nothing to write (the recipe in the
+        # Python docs for the signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = _BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -82,14 +82,17 @@ class EdgeRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Violation:
     kind: str
     where: tuple
     note: str = ""
 
+    def __init__(self, kind, where, note=""):
+        self.__dict__.update(kind=kind, where=where, note=note)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ClassificationReport:
     is_iasl: bool                      # vertex map injective
     is_iasi: bool                      # induced edge map injective
@@ -101,6 +104,17 @@ class ClassificationReport:
     vacuous_edges: bool
     per_edge: tuple[EdgeRecord, ...]
     violations: tuple[Violation, ...] = field(compare=False)
+
+    def __init__(self, is_iasl, is_iasi, is_weak, is_strong, edge_uniform_k,
+                 vertex_uniform_l, completely_uniform, vacuous_edges, per_edge,
+                 violations):
+        # one dict update, as in EdgeRecord: classify builds a report per call
+        self.__dict__.update(
+            is_iasl=is_iasl, is_iasi=is_iasi, is_weak=is_weak, is_strong=is_strong,
+            edge_uniform_k=edge_uniform_k, vertex_uniform_l=vertex_uniform_l,
+            completely_uniform=completely_uniform, vacuous_edges=vacuous_edges,
+            per_edge=per_edge, violations=violations,
+        )
 
     def is_k_uniform(self, k: int) -> bool:
         """Every edge label has size k; an edgeless graph is k-uniform for every k."""
@@ -130,6 +144,16 @@ class ClassificationReport:
                 for w in self.violations
             ],
         }
+
+
+# classify's memo: the sum set of each ordered pair of label element
+# tuples met on an edge, oldest first.  A miss calls the module's sumset,
+# so a wrapper put there sees every sum that is computed, and a sum past
+# the element bound raises before anything is stored.  It retains at most
+# _SUMS_CAP = 256 sum sets, each of at most |A|*|B| elements (and at most
+# DEFAULT_ELEMENT_BOUND + 1, as no sum exceeds the bound).
+_SUMS: dict[tuple[tuple[int, ...], tuple[int, ...]], IntegerSet] = {}
+_SUMS_CAP = 256
 
 
 def classify(f: SetLabeling) -> ClassificationReport:
@@ -162,9 +186,16 @@ def classify(f: SetLabeling) -> ClassificationReport:
     iasi = True
     weak = True
     strong = True
+    sums = _SUMS
     for u, v in g.edges:
         la, lb = sizes_of[u], sizes_of[v]
-        lab = sumset(labels[u], labels[v])
+        pair = (elements[u], elements[v])
+        lab = sums.get(pair)
+        if lab is None:
+            lab = sumset(labels[u], labels[v])
+            if len(sums) >= _SUMS_CAP:
+                del sums[next(iter(sums))]
+            sums[pair] = lab
         e = lab.elements
         size = len(e)
         e_weak = size == max(la, lb)

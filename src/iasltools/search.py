@@ -110,18 +110,40 @@ class _Deadline:
         if time.monotonic() >= self.limit:
             raise BudgetExceeded
 
+    # Any two deadlines are one cache key, so _ground_tables keys on the
+    # ground set alone while a build can still be cut short by its caller's.
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Deadline)
 
-def _twin_constraints(g: Graph) -> tuple[int, ...]:
-    """For each vertex, the largest smaller twin (or -1).
+    def __hash__(self) -> int:
+        return 0
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask."""
+    masks = [0] * g.vertex_count
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _twin_constraints(masks: list[int]) -> tuple[int, ...]:
+    """For each vertex, the largest smaller twin (or -1), from the
+    neighbourhood bitmasks.
 
     Twins (equal neighborhoods apart from each other) can swap labels
     without changing any verdict, so forcing ascending label indices
     along a twin chain prunes without losing witnesses.
     """
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
     out = []
     for v, mv in enumerate(masks):
         prev = -1
@@ -140,26 +162,31 @@ def _subsets(elements) -> list[tuple[int, ...]]:
     return out[1:]
 
 
-def _sum_keys(labels) -> list[list[int]]:
-    """Sum-set bitmask of every ordered pair of labels, by shift-OR."""
+def _sum_keys(labels, deadline: _Deadline | None = None) -> list[list[int]]:
+    """Sum-set bitmask of every ordered pair of labels, by shift-OR,
+    checking deadline, if given, before each row."""
     masks = [sum(1 << e for e in lab) for lab in labels]
     n = len(labels)
-    key = [[0] * n for _ in range(n)]
+    key: list[list[int]] = []
     for i in range(n):
+        if deadline is not None:
+            deadline.check()
         mi = masks[i]
-        row = key[i]
+        row = [key[j][i] for j in range(i)]      # the rows above hold these
         for j in range(i, n):
             s = 0
             for e in labels[j]:
                 s |= mi << e
-            row[j] = key[j][i] = s
+            row.append(s)
+        key.append(row)
     return key
 
 
 @lru_cache(maxsize=8)
-def _ground_tables(ground: tuple[int, ...]):
+def _ground_tables(ground: tuple[int, ...], deadline: _Deadline | None = None):
     """The non-empty subsets of ground as IntegerSets, ascending by position
-    bitmask, and the sum-set key of every pair of them.
+    bitmask, and the sum-set key of every pair of them.  A build cut short
+    by deadline raises BudgetExceeded and caches nothing.
 
     A table has (2^m - 1)^2 entries for an m-element ground set, about
     24 bytes each on CPython, so the cache holds few: at element bound 12
@@ -169,7 +196,7 @@ def _ground_tables(ground: tuple[int, ...]):
     every smaller size failed; a 3-element table has 49 entries.
     """
     subsets = _subsets(ground)
-    return tuple(IntegerSet(s) for s in subsets), _sum_keys(subsets)
+    return tuple(IntegerSet(s) for s in subsets), _sum_keys(subsets, deadline)
 
 
 @lru_cache(maxsize=32)
@@ -212,21 +239,21 @@ def _allow_lists(element_bound: int, size_bound: int, k: int, mode: str):
     return allowed, tuple(masked)
 
 
-def _search_order(g: Graph) -> list[int]:
-    """Components in order, BFS inside each, so constraints bind early."""
-    seen: set[int] = set()
+def _search_order(masks: list[int]) -> list[int]:
+    """Components in order, BFS inside each, so constraints bind early;
+    each vertex's unseen neighbours are queued in ascending order."""
+    seen = 0
     order: list[int] = []
-    for start in g.vertices():
-        if start in seen:
+    for start in range(len(masks)):
+        if seen >> start & 1:
             continue
-        seen.add(start)
+        seen |= 1 << start
         queue = [start]
         for v in queue:
-            order.append(v)
-            for w in sorted(g.adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+            fresh = masks[v] & ~seen
+            seen |= fresh
+            queue.extend(_bits(fresh))
+        order += queue
     return order
 
 
@@ -258,12 +285,14 @@ def _backtrack(g: Graph, domain, allowed, key, deadline: _Deadline):
     None when the whole space is exhausted.
     """
     deadline.check()
-    order = _search_order(g)
-    pos_of = {v: p for p, v in enumerate(order)}
-    twins = _twin_constraints(g)
-    earlier = [
-        [u for u in g.adjacency[v] if pos_of[u] < pos_of[v]] for v in g.vertices()
-    ]
+    masks = _neighbour_masks(g)
+    order = _search_order(masks)
+    twins = _twin_constraints(masks)
+    earlier = [[] for _ in masks]        # neighbours placed before v, ascending
+    placed = 0
+    for v in order:
+        earlier[v] = list(_bits(masks[v] & placed))
+        placed |= 1 << v
     nlab = len(domain)
     assign: dict[int, int] = {}
     used: set[int] = set()
@@ -306,7 +335,7 @@ def _backtrack(g: Graph, domain, allowed, key, deadline: _Deadline):
 
     if not place(0):
         return None
-    return [domain[assign[v]] for v in g.vertices()]
+    return [domain[assign[v]] for v in range(len(masks))]
 
 
 def min_ground_set_size(
@@ -330,7 +359,8 @@ def min_ground_set_size(
         for m in range(lower, config.element_bound + 2):
             # first X, in combinations order, whose subsets carry a set-indexer
             for ground in combinations(range(config.element_bound + 1), m):
-                subsets, key = _ground_tables(ground)
+                deadline.check()
+                subsets, key = _ground_tables(ground, deadline)
                 labels = _backtrack(g, subsets, None, key, deadline)
                 if labels is None:
                     continue

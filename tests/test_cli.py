@@ -13,7 +13,7 @@ import pytest
 
 from iasltools import oracle, search
 from iasltools.cli import main
-from iasltools.graph import path_graph, write_graph6
+from iasltools.graph import enumerate_graphs, path_graph, write_graph6
 
 
 CAP_12_4 = ("error: 1092 labels within {0..12} of size <= 4 exceed the cap of 1023; "
@@ -517,11 +517,15 @@ class TestBatch:
 
 
 class TestEntryPoints:
-    @pytest.mark.parametrize("module", ["iasltools", "iasltools.cli"])
-    def test_python_dash_m_runs_the_cli(self, module):
+    @staticmethod
+    def _cli_env():
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
+        return {**os.environ, "PYTHONPATH": path}
+
+    @pytest.mark.parametrize("module", ["iasltools", "iasltools.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        env = self._cli_env()
 
         def oracle_list(*interpreter_args):
             return subprocess.run(
@@ -536,6 +540,39 @@ class TestEntryPoints:
         assert (ran.returncode, ran.stdout) == (script.returncode, script.stdout)
         # no runpy warning: importing the package must not import cli first
         assert ran.stderr == ""
+
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        """`minsize --graph FILE | head -1`: the output is several times a
+        pipe's default 64 KiB, so the writer meets the closed pipe."""
+        graphs = list(enumerate_graphs(6, connected_only=True))[:500]
+        path = tmp_path / "batch.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "iasltools", "minsize", "--graph", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._cli_env(),
+        )
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert stderr == b""
+        assert first["graph6"] == write_graph6(graphs[0])
+
+    def test_reader_gone_before_the_first_write(self):
+        """A short output still buffered at the end meets the closed pipe on
+        the final flush, and then not again when the interpreter exits."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            ran = subprocess.run(
+                [sys.executable, "-m", "iasltools", "oracle", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self._cli_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (ran.returncode, ran.stderr) == (141, b"")
 
 
 class TestDeterminism:

@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 from iasltools.graph import (
     complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
 )
+from iasltools import labeling, oracle
 from iasltools.intset import (
-    DEFAULT_ELEMENT_BOUND, CompatibilityTable, IntegerSet, _trusted,
-    compatibility_table, iset, sumset,
+    DEFAULT_ELEMENT_BOUND, CompatibilityTable, ElementBoundError, IntegerSet,
+    _trusted, compatibility_table, iset, sumset,
 )
 from iasltools.labeling import (
-    EdgeRecord, LabelingError, SetLabeling, classify, ground_set, induced_edge_label,
-    labeling_from_json, labeling_to_json, strong_structure_check,
-    weak_structure_check,
+    ClassificationReport, EdgeRecord, LabelingError, SetLabeling, Violation,
+    classify, ground_set, induced_edge_label, labeling_from_json, labeling_to_json,
+    strong_structure_check, weak_structure_check,
 )
+from iasltools.search import SearchConfig, min_ground_set_size
 
 
 def lab(g, *labels):
@@ -406,3 +408,117 @@ class TestFastConstructors:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del rec.label
         assert rec.size == 1
+
+    @pytest.mark.parametrize("labels", [
+        [(0, 1), 2, (0, 1), (3, 5, 8)],          # every kind of violation
+        [1, 2, 4, 8],                             # none
+    ])
+    def test_reports_and_violations_of_classify(self, labels):
+        rep = classify(lab(complete_graph(4), *labels))
+        _assert_indistinguishable(
+            rep, _built_field_by_field(ClassificationReport, _field_values(rep)))
+        for w in rep.violations:
+            _assert_indistinguishable(
+                w, _built_field_by_field(Violation, _field_values(w)))
+
+    def test_report_positional_and_keyword(self):
+        rep = classify(lab(path_graph(3), (0, 1), (0, 1), 3))
+        values = _field_values(rep)
+        built = _built_field_by_field(ClassificationReport, values)
+        _assert_indistinguishable(ClassificationReport(*values.values()), built)
+        _assert_indistinguishable(ClassificationReport(**values), built)
+        # violations stay out of equality and hash, not out of repr
+        other = ClassificationReport(**{**values, "violations": ()})
+        assert other == rep and hash(other) == hash(rep)
+        assert repr(other) != repr(rep)
+        assert ClassificationReport(**{**values, "is_weak": not rep.is_weak}) != rep
+
+    def test_violation_positional_keyword_and_default(self):
+        values = dict(kind="weak-failure", where=((0, 1),), note="size 3 != max(2,2)")
+        built = _built_field_by_field(Violation, values)
+        _assert_indistinguishable(Violation(*values.values()), built)
+        _assert_indistinguishable(Violation(**values), built)
+        _assert_indistinguishable(
+            Violation("weak-failure", ((0, 1),)),
+            _built_field_by_field(Violation, {**values, "note": ""}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.note = "x"
+
+
+def _classify_cold(f):
+    labeling._SUMS.clear()
+    return classify(f)
+
+
+def _sweep_crosschecked_labelings(monkeypatch):
+    """The labelings the two labeling-sweep checks hand to classify: labels of
+    size <= 2 from {0..3}, every 199th labeling of each check's domain."""
+    seen = []
+
+    def recording(f):
+        seen.append(f)
+        return classify(f)
+
+    monkeypatch.setattr(oracle, "classify", recording)
+    corpus = oracle.Corpus(max_element=3, max_label_size=2)
+    for cid in ("weak-iff-singleton-endpoints", "strong-iff-disjoint-differences"):
+        assert oracle.run_check(cid, corpus=corpus).verdict == "pass"
+    monkeypatch.undo()
+    return seen
+
+
+def _minsize_witnesses():
+    """The min_ground_set_size witness of each of the 804 graphs with <= 4
+    vertices or connected on 5."""
+    graphs = [g for n in range(5) for g in enumerate_graphs(n)]
+    graphs += list(enumerate_graphs(5, connected_only=True))
+    assert len(graphs) == 804
+    return [min_ground_set_size(g)[1].witness for g in graphs]
+
+
+class TestSumMemo:
+    """classify keeps the sum sets of the label pairs it met; a report built
+    from them equals one built from freshly computed sums."""
+
+    @pytest.mark.parametrize("inputs", ["sweep", "minsize"])
+    def test_warm_memo_keeps_every_report(self, monkeypatch, inputs):
+        if inputs == "sweep":
+            labelings = _sweep_crosschecked_labelings(monkeypatch)
+            assert len(labelings) == 5810
+        else:
+            labelings = _minsize_witnesses()
+        cold = [_classify_cold(f) for f in labelings]
+        cold_json = [json.dumps(r.to_json()) for r in cold]
+        for order in (1, -1):
+            labeling._SUMS.clear()
+            warm = [classify(f) for f in labelings[::order]][::order]
+            assert warm == cold
+            assert [json.dumps(r.to_json()) for r in warm] == cold_json
+            assert 0 < len(labeling._SUMS) <= labeling._SUMS_CAP
+
+    def test_memo_holds_at_most_its_cap(self):
+        g = path_graph(40)
+        labelings = [SetLabeling(g, [iset(v, 2 * v + shift + 1) for v in range(40)])
+                     for shift in range(12)]          # 12 x 39 distinct label pairs
+        cold = [_classify_cold(f) for f in labelings]
+        labeling._SUMS.clear()
+        for f, rep in zip(labelings, cold):
+            assert classify(f) == rep
+            assert len(labeling._SUMS) <= labeling._SUMS_CAP
+        assert len(labeling._SUMS) == labeling._SUMS_CAP == 256
+        # the newest pair is kept, the oldest is gone and recomputed when met
+        last, first = labelings[-1].labels, labelings[0].labels
+        assert (last[38].elements, last[39].elements) in labeling._SUMS
+        assert (first[0].elements, first[1].elements) not in labeling._SUMS
+        assert classify(labelings[0]).to_json() == cold[0].to_json()
+        assert len(labeling._SUMS) == labeling._SUMS_CAP
+
+    def test_sum_past_the_element_bound_still_raises(self):
+        labeling._SUMS.clear()
+        classify(lab(path_graph(2), 1, 2))
+        before = dict(labeling._SUMS)
+        f = lab(path_graph(3), 1, DEFAULT_ELEMENT_BOUND, 2)
+        for _ in range(2):
+            with pytest.raises(ElementBoundError):
+                classify(f)
+            assert labeling._SUMS == before

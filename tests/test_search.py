@@ -511,6 +511,37 @@ def _frozenset_twins(g):
     return tuple(out)
 
 
+def _frozenset_search_order(g):
+    """Components in order, BFS inside each, neighbours queued ascending,
+    from the frozenset adjacency."""
+    seen, order = set(), []
+    for start in g.vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            order.append(v)
+            for w in sorted(g.adjacency[v]):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return order
+
+
+class _Countdown(search._Deadline):
+    """A deadline that runs out at its checks-th check."""
+
+    def __init__(self, checks):
+        super().__init__(60.0)
+        self.left = checks
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            raise search.BudgetExceeded
+
+
 def _sweep_graphs():
     """The 804 graphs with <= 4 vertices or connected on 5."""
     return _small_graphs() + list(enumerate_graphs(5, connected_only=True))
@@ -519,7 +550,38 @@ def _sweep_graphs():
 class TestGroundTables:
     def test_twin_masks_match_neighbourhood_sets(self):
         for g in _small_graphs(6):
-            assert search._twin_constraints(g) == _frozenset_twins(g), write_graph6(g)
+            masks = search._neighbour_masks(g)
+            assert search._twin_constraints(masks) == _frozenset_twins(g), write_graph6(g)
+
+    def test_mask_search_order_matches_neighbourhood_sets(self):
+        for g in _small_graphs(6):
+            order = search._search_order(search._neighbour_masks(g))
+            assert order == _frozenset_search_order(g), write_graph6(g)
+
+    def test_zero_budget_builds_no_table(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("_sum_keys called")
+
+        monkeypatch.setattr(search, "_sum_keys", no_build)
+        before = search._ground_tables.cache_info()
+        size, cert = min_ground_set_size(
+            empty_graph(1024), SearchConfig(element_bound=12, time_budget=0.0))
+        assert (size, cert.kind) == (None, "budget_exceeded")
+        assert search._ground_tables.cache_info() == before
+
+    def test_build_cut_short_caches_nothing(self):
+        ground = (0, 1, 2, 3, 4, 5)
+        search._ground_tables.cache_clear()
+        with pytest.raises(search.BudgetExceeded):
+            search._ground_tables(ground, _Countdown(10))
+        assert search._ground_tables.cache_info().currsize == 0
+        subsets, key = search._ground_tables(ground, search._Deadline(60.0))
+        assert key == search._sum_keys(search._subsets(ground))
+        assert [s.elements for s in subsets] == search._subsets(ground)
+        # deadlines are one cache key: a later run's deadline hits this table
+        assert search._ground_tables(ground, _Countdown(0))[1] is key
+        info = search._ground_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
 
     @pytest.mark.parametrize("element_bound", [2, 8])
     def test_certificates_do_not_depend_on_the_cache(self, element_bound):
