@@ -143,6 +143,8 @@ def _parse_json(text: str, what: str):
             f"{what}: line {exc.lineno} column {exc.colno} (byte {exc.pos}): "
             f"{exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise _CliError(f"{what}: arrays or objects nested too deeply") from exc
 
 
 def _parse_shared(text: str) -> dict[int, int]:

@@ -146,14 +146,18 @@ class ClassificationReport:
         }
 
 
-# classify's memo: the sum set of each ordered pair of label element
-# tuples met on an edge, oldest first.  A miss calls the module's sumset,
-# so a wrapper put there sees every sum that is computed, and a sum past
-# the element bound raises before anything is stored.  It retains at most
-# _SUMS_CAP = 256 sum sets, each of at most |A|*|B| elements (and at most
-# DEFAULT_ELEMENT_BOUND + 1, as no sum exceeds the bound).
-_SUMS: dict[tuple[tuple[int, ...], tuple[int, ...]], IntegerSet] = {}
-_SUMS_CAP = 256
+# classify's memo: for each edge met, keyed (u, v, f(u) elements, f(v)
+# elements), [its EdgeRecord, its weak-failure Violation or None, its
+# strong-failure Violation or None]; a violation is built the first time a
+# call reports it.  A miss calls the module's sumset, so a wrapper put there
+# sees every sum that is computed, and a sum past the element bound raises
+# before anything is stored.  Cleared when it reaches _EDGES_CAP = 1,024
+# entries (cheaper than evicting one at a time), so it retains at most 1,024
+# sum sets, each of at most |A|*|B| elements (and at most
+# DEFAULT_ELEMENT_BOUND + 1, as no sum exceeds the bound), 1,024 records and
+# 2,048 violations.
+_EDGES: dict[tuple, list] = {}
+_EDGES_CAP = 1024
 
 
 def classify(f: SetLabeling) -> ClassificationReport:
@@ -164,10 +168,9 @@ def classify(f: SetLabeling) -> ClassificationReport:
     """
     g = f.graph
     labels = f.labels
-    # the elements tuples and sizes are read once: len() and hash() of an
-    # IntegerSet run Python code, of a tuple they do not
+    # the elements tuples are read once: len() and hash() of an IntegerSet
+    # run Python code, of a tuple they do not
     elements = [lab.elements for lab in labels]
-    sizes_of = [len(e) for e in elements]
     violations: list[Violation] = []
 
     seen: dict[tuple[int, ...], int] = {}
@@ -186,47 +189,51 @@ def classify(f: SetLabeling) -> ClassificationReport:
     iasi = True
     weak = True
     strong = True
-    sums = _SUMS
+    memo = _EDGES
     for u, v in g.edges:
-        la, lb = sizes_of[u], sizes_of[v]
-        pair = (elements[u], elements[v])
-        lab = sums.get(pair)
-        if lab is None:
+        a, b = elements[u], elements[v]
+        key = (u, v, a, b)
+        entry = memo.get(key)
+        if entry is None:
             lab = sumset(labels[u], labels[v])
-            if len(sums) >= _SUMS_CAP:
-                del sums[next(iter(sums))]
-            sums[pair] = lab
-        e = lab.elements
-        size = len(e)
-        e_weak = size == max(la, lb)
-        e_strong = size == la * lb
-        records.append(EdgeRecord(u, v, lab, size, la * lb - size, e_weak, e_strong))
+            if len(memo) >= _EDGES_CAP:
+                memo.clear()
+            la, lb = len(a), len(b)
+            size = len(lab.elements)
+            entry = memo[key] = [
+                EdgeRecord(u, v, lab, size, la * lb - size,
+                           size == max(la, lb), size == la * lb),
+                None, None,
+            ]
+        rec = entry[0]
+        records.append(rec)
+        e = rec.label.elements
         if e in edge_seen:
             if iasi:
                 iasi = False
                 violations.append(
                     Violation("edge-label-duplicate", (edge_seen[e], (u, v)),
-                              f"both get {lab}")
+                              f"both get {rec.label}")
                 )
         else:
             edge_seen[e] = (u, v)
-        if not e_weak and weak:
+        if weak and not rec.weak:
             weak = False
-            violations.append(
-                Violation("weak-failure", ((u, v),),
-                          f"size {size} != max({la},{lb})")
-            )
-        if not e_strong and strong:
+            if entry[1] is None:
+                entry[1] = Violation("weak-failure", ((u, v),),
+                                     f"size {rec.size} != max({len(a)},{len(b)})")
+            violations.append(entry[1])
+        if strong and not rec.strong:
             strong = False
-            violations.append(
-                Violation("strong-failure", ((u, v),),
-                          f"size {size} != {la}*{lb}")
-            )
+            if entry[2] is None:
+                entry[2] = Violation("strong-failure", ((u, v),),
+                                     f"size {rec.size} != {len(a)}*{len(b)}")
+            violations.append(entry[2])
 
     vacuous = not g.edges
     sizes = {r.size for r in records}
     edge_k = sizes.pop() if len(sizes) == 1 else None
-    vsizes = set(sizes_of)
+    vsizes = set(map(len, elements))
     vertex_l = vsizes.pop() if len(vsizes) == 1 else None
     completely = None
     if edge_k is not None and vertex_l is not None:

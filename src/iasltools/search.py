@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .graph import Graph, cycle_graph
 from .intset import IntegerSet
@@ -39,9 +39,10 @@ class SearchConfig:
     labels of at most size_bound elements, time_budget wall-clock seconds.
 
     Rejected with ValueError: an element_bound outside
-    0..MAX_ELEMENT_BOUND, a size_bound below 1, and a negative or NaN
-    time_budget.  find_k_uniform also rejects bounds whose label universe
-    has more than MAX_LABELS members (see check_label_universe).
+    0..MAX_ELEMENT_BOUND, a size_bound below 1, and a negative or
+    non-finite time_budget.  find_k_uniform also rejects bounds whose
+    label universe has more than MAX_LABELS members (see
+    check_label_universe).
     """
 
     element_bound: int = 8
@@ -54,17 +55,18 @@ class SearchConfig:
             raise ValueError(f"element_bound must be in 0..{MAX_ELEMENT_BOUND}, got {b}")
         if s < 1:
             raise ValueError(f"size_bound must be at least 1, got {s}")
-        if not self.time_budget >= 0:
+        if not 0 <= self.time_budget < inf:
             raise ValueError(
-                f"time_budget must be a non-negative number, got {self.time_budget}"
+                f"time_budget must be a finite non-negative number, got {self.time_budget}"
             )
 
     def check_label_universe(self) -> None:
         """Raise ValueError if more than MAX_LABELS labels lie within these
         bounds, since the k-uniform search tabulates every pair of them.
-        Counts the labels without building them."""
+        Counts the labels without building them; no label has more than
+        b + 1 elements, however large size_bound is."""
         b, s = self.element_bound, self.size_bound
-        count = sum(comb(b + 1, size) for size in range(1, s + 1))
+        count = sum(comb(b + 1, size) for size in range(1, min(s, b + 1) + 1))
         if count > MAX_LABELS:
             raise ValueError(
                 f"{count} labels within {{0..{b}}} of size <= {s} "
@@ -421,15 +423,15 @@ def find_k_uniform(
         raise ValueError(f"k must be positive, got {k}")
     config = config or SearchConfig()
     config.check_label_universe()
-    labels, _ = _pair_tables(config.element_bound, config.size_bound)
     deadline = _Deadline(config.time_budget)
     space = (
         f"labels within {{0..{config.element_bound}}} of size <= {config.size_bound}"
         + ("" if mode == "any" else f", {mode} edges only")
     )
-    allowed, key = _allow_lists(config.element_bound, config.size_bound, k, mode)
     try:
         deadline.check()
+        labels, _ = _pair_tables(config.element_bound, config.size_bound)
+        allowed, key = _allow_lists(config.element_bound, config.size_bound, k, mode)
         odd = _odd_girth(g)
         cycles = {} if cycles is None else cycles
         cycle = (odd, k, mode, config.element_bound, config.size_bound)

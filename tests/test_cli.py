@@ -94,6 +94,16 @@ class TestDiagnostics:
         assert code == 2
         assert "line 1" in err and "byte" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--graph", "A_", "--labels"),
+        ("product", "--kind", "union", "--graph", "A_", "--graph2", "A_", "--shared"),
+    ], ids=["labels", "shared"])
+    def test_deeply_nested_json_exits_two(self, argv):
+        code, out, err = run(*argv, "[" * 5000 + "]" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
     def test_unknown_flag(self):
         code, _, _ = run("classify", "--graph", "A_", "--labels", "[[1],[2]]",
                          "--bogus")
@@ -199,6 +209,9 @@ class TestSearchCommands:
         (("uniform", "--graph", "Bw", "--k", "2", "--element-bound", "10",
           "--size-bound", "9"), "labels within {0..10}"),
         (("uniform", "--graph", "Bw", "--k", "0"), "--k must be positive"),
+        (("minsize", "--graph", "Bw", "--time-budget", "inf"), "time_budget"),
+        (("uniform", "--graph", "Bw", "--k", "2", "--time-budget", "1e309"),
+         "time_budget"),
     ])
     def test_meaningless_search_config_exits_two(self, argv, field):
         code, out, err = run(*argv)

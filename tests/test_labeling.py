@@ -446,7 +446,7 @@ class TestFastConstructors:
 
 
 def _classify_cold(f):
-    labeling._SUMS.clear()
+    labeling._EDGES.clear()
     return classify(f)
 
 
@@ -477,8 +477,9 @@ def _minsize_witnesses():
 
 
 class TestSumMemo:
-    """classify keeps the sum sets of the label pairs it met; a report built
-    from them equals one built from freshly computed sums."""
+    """classify keeps the finished record and violations of each edge it met,
+    keyed by endpoints and label elements; a report built from them equals,
+    byte for byte, one built from freshly computed sums."""
 
     @pytest.mark.parametrize("inputs", ["sweep", "minsize"])
     def test_warm_memo_keeps_every_report(self, monkeypatch, inputs):
@@ -489,36 +490,63 @@ class TestSumMemo:
             labelings = _minsize_witnesses()
         cold = [_classify_cold(f) for f in labelings]
         cold_json = [json.dumps(r.to_json()) for r in cold]
+        cold_repr = [repr(r) for r in cold]
         for order in (1, -1):
-            labeling._SUMS.clear()
+            labeling._EDGES.clear()
             warm = [classify(f) for f in labelings[::order]][::order]
             assert warm == cold
             assert [json.dumps(r.to_json()) for r in warm] == cold_json
-            assert 0 < len(labeling._SUMS) <= labeling._SUMS_CAP
+            assert [repr(r) for r in warm] == cold_repr
+            assert 0 < len(labeling._EDGES) <= labeling._EDGES_CAP
 
     def test_memo_holds_at_most_its_cap(self):
-        g = path_graph(40)
-        labelings = [SetLabeling(g, [iset(v, 2 * v + shift + 1) for v in range(40)])
-                     for shift in range(12)]          # 12 x 39 distinct label pairs
+        g = path_graph(33)
+        labelings = [SetLabeling(g, [iset(v, 2 * v + shift + 1) for v in range(33)])
+                     for shift in range(33)]          # 33 x 32 distinct edges
         cold = [_classify_cold(f) for f in labelings]
-        labeling._SUMS.clear()
-        for f, rep in zip(labelings, cold):
-            assert classify(f) == rep
-            assert len(labeling._SUMS) <= labeling._SUMS_CAP
-        assert len(labeling._SUMS) == labeling._SUMS_CAP == 256
-        # the newest pair is kept, the oldest is gone and recomputed when met
-        last, first = labelings[-1].labels, labelings[0].labels
-        assert (last[38].elements, last[39].elements) in labeling._SUMS
-        assert (first[0].elements, first[1].elements) not in labeling._SUMS
+        labeling._EDGES.clear()
+        for f, rep in zip(labelings[:32], cold):
+            assert classify(f).to_json() == rep.to_json()
+        assert len(labeling._EDGES) == labeling._EDGES_CAP == 1024
+        # a hit on a full memo keeps it; the next miss clears it first
         assert classify(labelings[0]).to_json() == cold[0].to_json()
-        assert len(labeling._SUMS) == labeling._SUMS_CAP
+        assert len(labeling._EDGES) == labeling._EDGES_CAP
+        assert classify(labelings[32]).to_json() == cold[32].to_json()
+        assert len(labeling._EDGES) == 32
+        first = labelings[0].labels
+        assert (0, 1, first[0].elements, first[1].elements) not in labeling._EDGES
+        assert classify(labelings[0]).to_json() == cold[0].to_json()
+        assert len(labeling._EDGES) == 64
 
     def test_sum_past_the_element_bound_still_raises(self):
-        labeling._SUMS.clear()
-        classify(lab(path_graph(2), 1, 2))
-        before = dict(labeling._SUMS)
         f = lab(path_graph(3), 1, DEFAULT_ELEMENT_BOUND, 2)
-        for _ in range(2):
-            with pytest.raises(ElementBoundError):
-                classify(f)
-            assert labeling._SUMS == before
+        g = path_graph(33)
+        fillers = [[lab(path_graph(2), 1, 2)],
+                   [SetLabeling(g, [iset(v, 2 * v + shift + 1) for v in range(33)])
+                    for shift in range(32)]]           # 32 x 32: a full memo
+        for filler in fillers:
+            labeling._EDGES.clear()
+            for h in filler:
+                classify(h)
+            before = dict(labeling._EDGES)
+            for _ in range(2):
+                with pytest.raises(ElementBoundError):
+                    classify(f)
+                assert labeling._EDGES == before
+        assert len(before) == labeling._EDGES_CAP
+
+    def test_shared_records_and_violations_are_indistinguishable(self):
+        labeling._EDGES.clear()
+        f = lab(path_graph(3), (0, 1), (0, 2), 7)
+        first = classify(lab(path_graph(3), (0, 1), (0, 2), 9))
+        second = classify(f)
+        shared = second.per_edge[0]
+        assert shared is first.per_edge[0]
+        _assert_indistinguishable(
+            shared, _built_field_by_field(EdgeRecord, _field_values(shared)))
+        assert [w.kind for w in second.violations] == ["weak-failure"]
+        assert second.violations[0] is first.violations[0]
+        _assert_indistinguishable(
+            second.violations[0],
+            _built_field_by_field(Violation, _field_values(second.violations[0])))
+        assert repr(second) == repr(_classify_cold(f))

@@ -6,6 +6,7 @@ import json
 from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -43,10 +44,27 @@ class TestConfig:
         # {0..10} exceed the 1,023 that the k-uniform search tabulates
         {"element_bound": 12},
         {"element_bound": 10, "size_bound": 9},
+        # not finite: the budget is echoed into JSON, which has no Infinity
+        {"time_budget": float("inf")},
+        {"time_budget": 1e309},
     ])
     def test_meaningless_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
             find_k_uniform(complete_graph(2), 2, SearchConfig(**kwargs))
+
+    def test_label_universe_counts_at_most_b_plus_one_sizes(self, monkeypatch):
+        calls = []
+
+        def counting(n, size):
+            calls.append(size)
+            return comb(n, size)
+
+        monkeypatch.setattr(search, "comb", counting)
+        SearchConfig(element_bound=3, size_bound=10 ** 20).check_label_universe()
+        assert calls == [1, 2, 3, 4]
+        with pytest.raises(ValueError, match="8191 labels"):
+            SearchConfig(element_bound=12, size_bound=10 ** 20).check_label_universe()
+        assert len(calls) == 4 + 13
 
     @pytest.mark.parametrize("bounds", [
         (8, 4), (8, 9), (6, 3), (5, 3), (5, 2), (1, 4), (0, 1), (9, 9), (10, 4),
@@ -181,6 +199,15 @@ class TestKUniform:
         cert = find_k_uniform(g, 2, SearchConfig(element_bound=5, size_bound=3,
                                                  time_budget=0.0), mode=mode)
         assert cert.kind == "budget_exceeded"
+
+    def test_zero_budget_builds_no_table(self):
+        search._pair_tables.cache_clear()
+        search._allow_lists.cache_clear()
+        cert = find_k_uniform(complete_graph(3), 2,
+                              SearchConfig(element_bound=9, size_bound=10, time_budget=0.0))
+        assert cert.kind == "budget_exceeded"
+        assert search._pair_tables.cache_info().misses == 0
+        assert search._allow_lists.cache_info().misses == 0
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
