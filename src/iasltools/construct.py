@@ -18,7 +18,9 @@ from .graph import (
     induced_subgraph, is_bipartite, join, line_graph, pair_id, product,
     rooted_product, subdivide_edge, total_graph, union,
 )
-from .intset import IntegerSet, integral_multiple, sumset
+from .intset import (
+    DEFAULT_ELEMENT_BOUND, ElementBoundError, IntegerSet, integral_multiple, sumset,
+)
 from .labeling import ClassificationReport, SetLabeling, classify, labeling_to_json
 
 __all__ = [
@@ -179,6 +181,8 @@ def weakly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstructio
         return NoConstruction("graph is not bipartite", side.odd_cycle)
     part0 = [v for v in g.vertices() if side.coloring[v] == 0]
     part1 = [v for v in g.vertices() if side.coloring[v] == 1]
+    if part1 and k - 1 > DEFAULT_ELEMENT_BOUND:            # before range(k) is built
+        raise ElementBoundError(f"element {k - 1} exceeds bound {DEFAULT_ELEMENT_BOUND}")
     stride = max(len(part0), k + 1)
     labels: list[IntegerSet | None] = [None] * g.vertex_count
     for i, v in enumerate(part0):
@@ -212,6 +216,12 @@ def _shifted_progressions(lengths: list[int]) -> tuple[list[IntegerSet], str]:
     if not lengths:
         return [], "no vertices"
     max_len = max(lengths)
+    # a label spans (max_len - 1) * d with d > max_len: refuse before the
+    # prime search and the labels, whose cost grows with max_len
+    if max_len * max_len - 1 > DEFAULT_ELEMENT_BOUND:
+        raise ElementBoundError(
+            f"a {max_len}-term progression with a prime difference above "
+            f"{max_len} exceeds bound {DEFAULT_ELEMENT_BOUND}")
     primes = _primes_above(max_len, len(lengths))
     extent = 2 * (max_len - 1) * primes[-1] if max_len > 1 else 0
     scale = 1 << extent.bit_length() if extent else 1

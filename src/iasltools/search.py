@@ -62,9 +62,10 @@ class SearchConfig:
 
     def check_label_universe(self) -> None:
         """Raise ValueError if more than MAX_LABELS labels lie within these
-        bounds, since the k-uniform search tabulates every pair of them.
-        Counts the labels without building them; no label has more than
-        b + 1 elements, however large size_bound is."""
+        bounds.  The cap bounds the length of one k-uniform table row and
+        how many rows an exhaustive search fills.  Counts the labels
+        without building them; no label has more than b + 1 elements,
+        however large size_bound is."""
         b, s = self.element_bound, self.size_bound
         count = sum(comb(b + 1, size) for size in range(1, min(s, b + 1) + 1))
         if count > MAX_LABELS:
@@ -112,14 +113,6 @@ class _Deadline:
         if time.monotonic() >= self.limit:
             raise BudgetExceeded
 
-    # Any two deadlines are one cache key, so _ground_tables keys on the
-    # ground set alone while a build can still be cut short by its caller's.
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Deadline)
-
-    def __hash__(self) -> int:
-        return 0
-
 
 def _neighbour_masks(g: Graph) -> list[int]:
     """Each vertex's neighbourhood as a bitmask."""
@@ -164,81 +157,67 @@ def _subsets(elements) -> list[tuple[int, ...]]:
     return out[1:]
 
 
-def _sum_keys(labels, deadline: _Deadline | None = None) -> list[list[int]]:
-    """Sum-set bitmask of every ordered pair of labels, by shift-OR,
-    checking deadline, if given, before each row."""
-    masks = [sum(1 << e for e in lab) for lab in labels]
-    n = len(labels)
-    key: list[list[int]] = []
-    for i in range(n):
-        if deadline is not None:
-            deadline.check()
-        mi = masks[i]
-        row = [key[j][i] for j in range(i)]      # the rows above hold these
-        for j in range(i, n):
+class _Table:
+    """One label domain and its pair rows, each row filled on first use.
+
+    labels are IntegerSets in domain order and masks their element
+    bitmasks.  A filled row key[i] holds, at j, the sum-set bitmask of
+    labels i and j.  Under a pair rule (k, mode), pairs that break it
+    are keyed 0, which no sum set has, and allowed[i] lists the labels
+    allowed next to label i, ascending; without one, allowed is None.
+    A row is None until fill builds it.
+    """
+
+    def __init__(self, labels, rule: tuple[int, str] | None = None):
+        self.labels = labels
+        self.masks = [sum(1 << e for e in lab.elements) for lab in labels]
+        self.rule = rule
+        self.key: list[list[int] | None] = [None] * len(labels)
+        self.allowed = None if rule is None else [None] * len(labels)
+
+    def fill(self, i: int, deadline: _Deadline) -> None:
+        """Build row i by shift-OR after a deadline check, and store it
+        once complete.  The k-uniform pair rule allows a pair when its sum
+        set has k elements and, in mode "weak", one label is a singleton,
+        in mode "strong", the sum set has |A||B| elements."""
+        deadline.check()
+        mi = self.masks[i]
+        row = []
+        for lab in self.labels:
             s = 0
-            for e in labels[j]:
+            for e in lab.elements:
                 s |= mi << e
             row.append(s)
-        key.append(row)
-    return key
+        if self.rule is not None:
+            k, mode = self.rule
+            a = len(self.labels[i].elements)
+            for j, lab in enumerate(self.labels):
+                size, b = row[j].bit_count(), len(lab.elements)
+                if size != k or (mode == "weak" and min(a, b) != 1) or (
+                        mode == "strong" and size != a * b):
+                    row[j] = 0
+            self.allowed[i] = [j for j, s in enumerate(row) if s]
+        self.key[i] = row
 
 
 @lru_cache(maxsize=8)
-def _ground_tables(ground: tuple[int, ...], deadline: _Deadline | None = None):
-    """The non-empty subsets of ground as IntegerSets, ascending by position
-    bitmask, and the sum-set key of every pair of them.  A build cut short
-    by deadline raises BudgetExceeded and caches nothing.
+def _ground_table(ground: tuple[int, ...]) -> _Table:
+    """The non-empty subsets of ground, ascending by position bitmask.
 
-    A table has (2^m - 1)^2 entries for an m-element ground set, about
-    24 bytes each on CPython, so the cache holds few: at element bound 12
-    the most it can retain is the one 13-element table (67 M entries) and
-    seven 12-element ones (16.8 M each), 184 M entries or 4.4 GB.  The
-    scan builds those only for graphs on 2,048 or more vertices, or after
-    every smaller size failed; a 3-element table has 49 entries.
+    A filled row has 2^m - 1 keys for an m-element ground set, about 40
+    bytes each on CPython 3.11, and only a search that exhausts the
+    ground set fills every row: 67 M keys for a 13-element set.  So the
+    cache holds few tables.
     """
-    subsets = _subsets(ground)
-    return tuple(IntegerSet(s) for s in subsets), _sum_keys(subsets, deadline)
+    return _Table([IntegerSet(s) for s in _subsets(ground)])
 
 
 @lru_cache(maxsize=32)
-def _pair_tables(element_bound: int, size_bound: int):
-    """Every candidate label, ascending by element bitmask, and the sum-set
-    key of every pair of them."""
-    labels = tuple(s for s in _subsets(range(element_bound + 1)) if len(s) <= size_bound)
-    return labels, _sum_keys(labels)
-
-
-@lru_cache(maxsize=32)
-def _allow_lists(element_bound: int, size_bound: int, k: int, mode: str):
-    """The k-uniform search's pair rule: a pair is allowed when its sum set
-    has k elements and, in mode "weak", one label is a singleton, in mode
-    "strong", the sum set has |A||B| elements.  Returns, for each label,
-    the labels allowed next to it, ascending, and the sum-key table with
-    every disallowed pair keyed 0, which no sum set has.  Immutable, since
-    calls share them."""
-    labels, key = _pair_tables(element_bound, size_bound)
-
-    def pair_ok(i: int, j: int) -> bool:
-        size = key[i][j].bit_count()
-        if size != k:
-            return False
-        if mode == "weak":
-            return min(len(labels[i]), len(labels[j])) == 1
-        if mode == "strong":
-            return size == len(labels[i]) * len(labels[j])
-        return True
-
-    n = len(labels)
-    allowed = tuple(tuple(j for j in range(n) if pair_ok(i, j)) for i in range(n))
-    zero = (0,) * n                      # shared by every label with no allowed pair
-    masked = []
-    for i, row in enumerate(allowed):
-        keys = list(zero)
-        for j in row:
-            keys[j] = key[i][j]
-        masked.append(tuple(keys) if row else zero)
-    return allowed, tuple(masked)
+def _uniform_table(element_bound: int, size_bound: int, k: int, mode: str) -> _Table:
+    """Every label within the bounds, ascending by element bitmask, under
+    the k-uniform pair rule of mode."""
+    subsets = _subsets(range(element_bound + 1))
+    return _Table([IntegerSet(s) for s in subsets if len(s) <= size_bound], (k, mode))
 
 
 def _search_order(masks: list[int]) -> list[int]:
@@ -276,43 +255,46 @@ def _odd_girth(g: Graph) -> int | None:
     return best if best <= g.vertex_count else None
 
 
-def _backtrack(g: Graph, domain, allowed, key, deadline: _Deadline):
-    """The first set-indexer of g over domain, as one label per vertex.
+def _backtrack(g: Graph, table: _Table, deadline: _Deadline):
+    """The first set-indexer of g over table's labels, one label per vertex.
 
     Vertices take distinct labels, in _search_order, each trying labels
     in domain order; the labels of every edge must have a non-zero
-    sum-set key key[i][j] (indices into domain) that no other edge has.
-    allowed, if given, holds for each label i the labels that may be
-    adjacent to it, ascending; key must then be 0 on every other pair.
-    None when the whole space is exhausted.
+    sum-set key that no other edge has.  Under a pair rule a vertex
+    tries only the labels allowed next to its placed neighbours.  A
+    label placed at a vertex with a later neighbour has its row filled
+    then, so every row the search reads exists.  Positions are kept on
+    an explicit stack, so no graph is too large to recurse on.  None
+    when the whole space is exhausted.
     """
     deadline.check()
     masks = _neighbour_masks(g)
     order = _search_order(masks)
     twins = _twin_constraints(masks)
     earlier = [[] for _ in masks]        # neighbours placed before v, ascending
+    fills = [False] * len(masks)         # v has a neighbour placed after it
     placed = 0
     for v in order:
         earlier[v] = list(_bits(masks[v] & placed))
         placed |= 1 << v
-    nlab = len(domain)
-    assign: dict[int, int] = {}
+        fills[v] = masks[v] & ~placed != 0
+    key, allowed, nlab, nv = table.key, table.allowed, len(table.labels), len(order)
+    assign = [-1] * (nv + 1)             # by vertex, -1 if unplaced; the spare last
+                                         # slot is the floor where twins[v] == -1
     used: set[int] = set()
     edge_used = {0}
+    pending: list = [None] * nv          # per position, the candidates not yet tried
+    added: list = [None] * nv            # per position, the edge keys its label took
     counter = 0
-
-    def place(p: int) -> bool:
-        nonlocal counter
-        if p == len(order):
-            return True
+    p = 0
+    while p < nv:
         v = order[p]
         anchors = earlier[v]
-        floor = assign.get(twins[v], -1)
-        if allowed is None or not anchors:
-            candidates = range(floor + 1, nlab)
-        else:
-            candidates = min((allowed[assign[u]] for u in anchors), key=len)
-        for idx in candidates:
+        floor = assign[twins[v]]
+        if pending[p] is None:
+            pending[p] = iter(range(floor + 1, nlab) if allowed is None or not anchors
+                              else min((allowed[assign[u]] for u in anchors), key=len))
+        for idx in pending[p]:
             if idx <= floor or idx in used:
                 continue
             counter += 1
@@ -328,16 +310,21 @@ def _backtrack(g: Graph, domain, allowed, key, deadline: _Deadline):
                 assign[v] = idx
                 used.add(idx)
                 edge_used.update(new_keys)
-                if place(p + 1):
-                    return True
-                del assign[v]
-                used.remove(idx)
-                edge_used.difference_update(new_keys)
-        return False
-
-    if not place(0):
-        return None
-    return [domain[assign[v]] for v in range(len(masks))]
+                added[p] = new_keys
+                if fills[v] and key[idx] is None:
+                    table.fill(idx, deadline)
+                p += 1
+                break
+        else:                            # position p is exhausted: take back p - 1
+            pending[p] = None
+            p -= 1
+            if p < 0:
+                return None
+            u = order[p]
+            used.remove(assign[u])
+            edge_used.difference_update(added[p])
+            assign[u] = -1
+    return [table.labels[assign[v]] for v in range(nv)]
 
 
 def min_ground_set_size(
@@ -362,8 +349,7 @@ def min_ground_set_size(
             # first X, in combinations order, whose subsets carry a set-indexer
             for ground in combinations(range(config.element_bound + 1), m):
                 deadline.check()
-                subsets, key = _ground_tables(ground, deadline)
-                labels = _backtrack(g, subsets, None, key, deadline)
+                labels = _backtrack(g, _ground_table(ground), deadline)
                 if labels is None:
                     continue
                 witness = SetLabeling(g, labels)
@@ -430,16 +416,13 @@ def find_k_uniform(
     )
     try:
         deadline.check()
-        labels, _ = _pair_tables(config.element_bound, config.size_bound)
-        allowed, key = _allow_lists(config.element_bound, config.size_bound, k, mode)
+        table = _uniform_table(config.element_bound, config.size_bound, k, mode)
         odd = _odd_girth(g)
         cycles = {} if cycles is None else cycles
         cycle = (odd, k, mode, config.element_bound, config.size_bound)
         if odd is not None and odd < g.vertex_count and cycle not in cycles:
-            cycles[cycle] = _backtrack(
-                cycle_graph(odd), labels, allowed, key, deadline) is None
-        found = None if cycles.get(cycle) else _backtrack(
-            g, labels, allowed, key, deadline)
+            cycles[cycle] = _backtrack(cycle_graph(odd), table, deadline) is None
+        found = None if cycles.get(cycle) else _backtrack(g, table, deadline)
         if odd == g.vertex_count:            # g is C_L: a chord closes a shorter odd cycle
             cycles[cycle] = found is None
     except BudgetExceeded:
@@ -449,7 +432,7 @@ def find_k_uniform(
             data={"k": k, "mode": mode},
         )
     if found is not None:
-        witness = SetLabeling(g, [IntegerSet(lab) for lab in found])
+        witness = SetLabeling(g, found)
         report = classify(witness)
         if not (report.is_iasl and report.is_iasi and report.is_k_uniform(k)):
             raise AssertionError("witness failed re-verification")

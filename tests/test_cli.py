@@ -10,10 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iasltools import oracle, search
 from iasltools.cli import main
-from iasltools.graph import enumerate_graphs, path_graph, write_graph6
+from iasltools.graph import empty_graph, enumerate_graphs, path_graph, write_graph6
 
 
 CAP_12_4 = ("error: 1092 labels within {0..12} of size <= 4 exceed the cap of 1023; "
@@ -554,6 +555,17 @@ class TestEntryPoints:
         # no runpy warning: importing the package must not import cli first
         assert ran.stderr == ""
 
+    def test_minsize_on_a_thousand_vertices(self):
+        # an edgeless graph: 1,000 twins, searched without recursion
+        ran = subprocess.run(
+            [sys.executable, "-m", "iasltools", "minsize",
+             "--graph", write_graph6(empty_graph(1000)),
+             "--element-bound", "12", "--size-bound", "3"],
+            capture_output=True, text=True, env=self._cli_env(), timeout=120,
+        )
+        assert (ran.returncode, ran.stderr) == (0, "")
+        assert json.loads(ran.stdout)["size"] == 10
+
     def test_reader_closing_the_pipe_early(self, tmp_path):
         """`minsize --graph FILE | head -1`: the output is several times a
         pipe's default 64 KiB, so the writer meets the closed pipe."""
@@ -604,3 +616,88 @@ class TestDeterminism:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a verdict or one diagnostic line
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_INTS = st.sampled_from(["0", "1", "2", "3", "-1", "12", "13", str(10 ** 30)])
+_BUDGETS = st.sampled_from(["0", "0.05", "0.1", "-0.5", "nan", "inf", "1e309"])
+_SMALL_GRAPHS = ["Bw", "Cr", "C~", "D~{", "A_", "@", "", "~", "B", "Bx", "C~~",
+                 "~?@", "A\x7f", "Dé"]
+_THOUSAND = write_graph6(empty_graph(1000))
+_GRAPHS = st.one_of(st.sampled_from(_SMALL_GRAPHS), st.just(_THOUSAND))
+_JSON = st.sampled_from([
+    "[[1],[2]]", "[[1],[1]]", "[[-1],[2]]", "[[1048577],[2]]", "[[true],[2]]",
+    "[[1e999],[2]]", "[[NaN],[2]]", "[]", "{}", '{"graph6": "A_", "labels": [[1], [2]]}',
+    '{"5": 0}', '{"0": 99}', '{"01": 0}', "[" * 100_000 + "]" * 100_000,
+])
+_COMMON = {"--element-bound": _INTS, "--size-bound": _INTS,
+           "--format": st.sampled_from(["json", "text", "dot"])}
+
+
+def _command(*words, required, optional):
+    """argv for one subcommand: the required flags, then any of the optional."""
+    def argv(flags):
+        out = list(words)
+        for flag, value in flags.items():
+            out += [flag, *value] if isinstance(value, tuple) else [flag, value]
+        return out
+    return st.fixed_dictionaries(required, optional={**_COMMON, **optional}).map(argv)
+
+
+_ARGV = st.one_of(
+    _command("minsize", required={"--graph": _GRAPHS, "--time-budget": _BUDGETS},
+             optional={}),
+    _command("uniform", required={"--graph": _GRAPHS, "--k": _INTS,
+                                  "--time-budget": _BUDGETS},
+             optional={"--mode": st.sampled_from(["any", "weak", "strong"])}),
+    _command("classify", required={"--labels": _JSON}, optional={"--graph": _GRAPHS}),
+    _command("construct", required={
+        "--kind": st.sampled_from(["canonical", "two-uniform", "weakly-uniform",
+                                   "strongly-uniform"]),
+        "--graph": _GRAPHS}, optional={"--k": _INTS}),
+    _command("product", required={
+        "--kind": st.sampled_from(["union", "join", "cartesian", "corona", "rooted",
+                                   "complement", "line", "subdivide", "contract"]),
+        "--graph": st.sampled_from(_SMALL_GRAPHS)},
+        optional={"--graph2": st.sampled_from(_SMALL_GRAPHS), "--root": _INTS,
+                  "--edge": st.tuples(_INTS, _INTS), "--shared": _JSON}),
+    _command("convert", required={"--graph": _GRAPHS}, optional={}),
+    _command("oracle", "list", required={}, optional={}),
+    _command("oracle", "run", "no-such-check", required={}, optional={}),
+)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestHostileInput:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_ARGV)
+    @example(["minsize", "--graph", _THOUSAND, "--element-bound", "12", "--size-bound", "3"])
+    def test_verdict_or_one_error_line(self, argv):
+        # Hypothesis lifts the recursion limit by 2,000 while a test runs;
+        # give main the 1,000 free frames of a fresh interpreter instead
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 1000)
+        try:
+            code, out, err = run(*argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code in (0, 1, 2, 3)             # 141 needs a closed pipe
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+            if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+                json.loads(out, parse_constant=_reject_constant)

@@ -92,6 +92,11 @@ class TestWeaklyUniform:
     def test_odd_cycle_refused(self):
         assert isinstance(weakly_uniform_iasi(cycle_graph(5), 3), NoConstruction)
 
+    def test_block_past_the_element_bound_is_refused_unbuilt(self):
+        # the first k-block alone would hold 10**30 elements
+        with pytest.raises(ElementBoundError, match=f"element {10**30 - 1} exceeds"):
+            weakly_uniform_iasi(path_graph(2), 10 ** 30)
+
 
 class TestStronglyUniform:
     def test_square_k_on_triangle(self):
@@ -115,6 +120,18 @@ class TestStronglyUniform:
     def test_k1_everywhere(self):
         out = strongly_uniform_iasi(cycle_graph(5), 1)
         assert out.report.edge_uniform_k == 1
+
+    @pytest.mark.parametrize("k", [1025 ** 2, 10 ** 30, 1049], ids=["square", "huge", "path"])
+    def test_progression_past_the_element_bound_is_refused_unbuilt(self, k):
+        # a 1,025-term progression with difference > 1,025 ends past 2^20;
+        # refused before the prime search and before any label is built
+        with pytest.raises(ElementBoundError, match="-term progression"):
+            strongly_uniform_iasi(path_graph(1000), k)
+
+    def test_1024_terms_pass_the_precheck(self):
+        # 1,024 terms pass the pre-check; the labels themselves then hit the bound
+        with pytest.raises(ElementBoundError, match="^element "):
+            strongly_uniform_iasi(path_graph(2), 1024 ** 2)
 
 
 class TestInducedLabelings:

@@ -313,10 +313,9 @@ class TestGroundSetLowerBound:
         graphs = [g for n in range(5) for g in enumerate_graphs(n)]
         for m in range(1, 4):
             for ground in itertools.combinations(range(4), m):
-                subsets, key = search._ground_tables(ground)
+                table = search._ground_table(ground)
                 for g in graphs:
-                    found = search._backtrack(g, subsets, None, key,
-                                              search._Deadline(60.0))
+                    found = search._backtrack(g, table, search._Deadline(60.0))
                     assert oracle._indexes(g, ground) == (found is not None), \
                         (write_graph6(g), ground)
 

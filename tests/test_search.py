@@ -201,13 +201,13 @@ class TestKUniform:
         assert cert.kind == "budget_exceeded"
 
     def test_zero_budget_builds_no_table(self):
-        search._pair_tables.cache_clear()
-        search._allow_lists.cache_clear()
+        search._uniform_table.cache_clear()
+        table = search._uniform_table(9, 10, 2, "any")      # the one the search would use
         cert = find_k_uniform(complete_graph(3), 2,
                               SearchConfig(element_bound=9, size_bound=10, time_budget=0.0))
         assert cert.kind == "budget_exceeded"
-        assert search._pair_tables.cache_info().misses == 0
-        assert search._allow_lists.cache_info().misses == 0
+        assert _rows_filled(table) == []
+        assert search._uniform_table.cache_info().currsize == 1
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -486,23 +486,27 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("bounds", [(3, 2), (5, 3)])
     def test_pair_rule_keys_disallowed_pairs_zero(self, bounds):
-        """_allow_lists keeps an allowed pair's sum key and keys every other
-        pair 0, against the pair rule applied to the labels themselves."""
-        labels, key = search._pair_tables(*bounds)
+        """A filled row keys an allowed pair by its sum set as a bitmask and
+        every other pair 0, against the pair rule applied to the labels
+        themselves."""
         for k in (1, 2, 3, 4):
             for mode in ("any", "weak", "strong"):
-                allowed, masked = search._allow_lists(*bounds, k, mode)
+                labels = search._uniform_table(*bounds, k, mode).labels
+                table = search._Table(labels, (k, mode))
+                for i in range(len(labels)):
+                    table.fill(i, search._Deadline(60.0))
                 for i, a in enumerate(labels):
                     for j, b in enumerate(labels):
-                        size = len({x + y for x in a for y in b})
-                        ok = size == k and {
+                        sums = {x + y for x in a for y in b}
+                        ok = len(sums) == k and {
                             "any": True,
                             "weak": min(len(a), len(b)) == 1,
-                            "strong": size == len(a) * len(b),
+                            "strong": len(sums) == len(a) * len(b),
                         }[mode]
-                        assert masked[i][j] == (key[i][j] if ok else 0), (a, b, k, mode)
-                    assert list(allowed[i]) == [j for j in range(len(labels))
-                                                if masked[i][j]]
+                        expected = sum(1 << x for x in sums) if ok else 0
+                        assert table.key[i][j] == expected, (a, b, k, mode)
+                    assert table.allowed[i] == [j for j in range(len(labels))
+                                                if table.key[i][j]]
 
     def test_odd_girth(self):
         for g in _small_graphs(5):
@@ -511,20 +515,22 @@ class TestAgainstBruteForce:
     def test_odd_cycle_refutation_keeps_every_verdict(self):
         """The verdict with the odd-cycle step equals a direct search of g."""
         cfg = SearchConfig(element_bound=3, size_bound=2)
-        labels, _ = search._pair_tables(3, 2)
         for g in _small_graphs(5):
             for k in (1, 2, 3, 4):
                 for mode in ("any", "weak", "strong"):
-                    allowed, key = search._allow_lists(3, 2, k, mode)
-                    direct = search._backtrack(g, labels, allowed, key,
-                                               search._Deadline(60.0))
+                    table = search._uniform_table(3, 2, k, mode)
+                    direct = search._backtrack(g, table, search._Deadline(60.0))
                     expected = "exhausted" if direct is None else "witness"
                     case = (write_graph6(g), k, mode)
                     assert find_k_uniform(g, k, cfg, mode=mode).kind == expected, case
 
 
 # ---------------------------------------------------------------------------
-# the per-run tables and the bitmask twin rule
+# the lazily filled tables, the bitmask twin rule and the iterative search
+
+def _rows_filled(table):
+    return [i for i, row in enumerate(table.key) if row is not None]
+
 
 def _frozenset_twins(g):
     """For each vertex, the largest smaller twin, from neighbourhood sets."""
@@ -585,30 +591,52 @@ class TestGroundTables:
             order = search._search_order(search._neighbour_masks(g))
             assert order == _frozenset_search_order(g), write_graph6(g)
 
-    def test_zero_budget_builds_no_table(self, monkeypatch):
-        def no_build(*args):
-            raise AssertionError("_sum_keys called")
-
-        monkeypatch.setattr(search, "_sum_keys", no_build)
-        before = search._ground_tables.cache_info()
+    def test_zero_budget_builds_no_table(self):
+        search._ground_table.cache_clear()
+        table = search._ground_table((0, 1, 2))             # K5's first ground set
         size, cert = min_ground_set_size(
-            empty_graph(1024), SearchConfig(element_bound=12, time_budget=0.0))
+            complete_graph(5), SearchConfig(time_budget=0.0))
         assert (size, cert.kind) == (None, "budget_exceeded")
-        assert search._ground_tables.cache_info() == before
+        assert _rows_filled(table) == []
+        assert search._ground_table.cache_info().currsize == 1
 
     def test_build_cut_short_caches_nothing(self):
-        ground = (0, 1, 2, 3, 4, 5)
-        search._ground_tables.cache_clear()
+        search._ground_table.cache_clear()
+        table = search._ground_table((0, 1, 2, 3, 4, 5))
         with pytest.raises(search.BudgetExceeded):
-            search._ground_tables(ground, _Countdown(10))
-        assert search._ground_tables.cache_info().currsize == 0
-        subsets, key = search._ground_tables(ground, search._Deadline(60.0))
-        assert key == search._sum_keys(search._subsets(ground))
-        assert [s.elements for s in subsets] == search._subsets(ground)
-        # deadlines are one cache key: a later run's deadline hits this table
-        assert search._ground_tables(ground, _Countdown(0))[1] is key
-        info = search._ground_tables.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+            table.fill(5, _Countdown(0))
+        assert _rows_filled(table) == []
+        # one check opens the search and one precedes each fill, so a
+        # search cut at its 11th check has filled 9 rows, each whole
+        with pytest.raises(search.BudgetExceeded):
+            search._backtrack(complete_graph(12), table, _Countdown(10))
+        filled = _rows_filled(table)
+        assert len(filled) == 9
+        for i in filled:
+            a = table.labels[i]
+            assert table.key[i] == [sum({1 << (x + y) for x in a for y in b})
+                                    for b in table.labels]
+
+    def test_rows_are_filled_for_labels_with_a_later_neighbour(self):
+        search._ground_table.cache_clear()
+        search._uniform_table.cache_clear()
+        assert min_ground_set_size(empty_graph(5))[0] == 3
+        assert _rows_filled(search._ground_table((0, 1, 2))) == []
+        cert = find_k_uniform(path_graph(2), 1, SearchConfig(element_bound=9, size_bound=10))
+        assert cert.kind == "witness"
+        assert _rows_filled(search._uniform_table(9, 10, 1, "any")) == [0]
+        # a witness's labels at vertices with a later neighbour have rows
+        for g in _small_graphs():
+            search._ground_table.cache_clear()
+            size, cert = min_ground_set_size(g)
+            ground = tuple(cert.data["ground_set"])
+            order = search._search_order(search._neighbour_masks(g))
+            table = search._ground_table(ground)
+            rows = set(_rows_filled(table))
+            for p, v in enumerate(order):
+                if any(u in g.adjacency[v] for u in order[p + 1:]):
+                    label = table.labels.index(cert.witness.labels[v])
+                    assert label in rows, write_graph6(g)
 
     @pytest.mark.parametrize("element_bound", [2, 8])
     def test_certificates_do_not_depend_on_the_cache(self, element_bound):
@@ -620,22 +648,40 @@ class TestGroundTables:
             out = {}
             for g in order:
                 if cold:
-                    search._ground_tables.cache_clear()
+                    search._ground_table.cache_clear()
                 size, cert = min_ground_set_size(g, cfg)
                 out[write_graph6(g)] = json.dumps([size, cert.to_json()], sort_keys=True)
             return out
 
         cold = certificates(graphs, cold=True)
-        search._ground_tables.cache_clear()
+        search._ground_table.cache_clear()
         assert certificates(graphs, cold=False) == cold
         assert certificates(graphs[::-1], cold=False) == cold
 
     def test_one_table_per_batch(self, tmp_path):
         graphs = list(enumerate_graphs(5, connected_only=True))[:40]
-        search._ground_tables.cache_clear()
+        search._ground_table.cache_clear()
         _batch_digest(tmp_path, graphs, "minsize")
-        info = search._ground_tables.cache_info()
+        info = search._ground_table.cache_info()
         assert (info.misses, info.hits) == (1, 39)
+
+
+class TestIterativeSearch:
+    """The search keeps its positions on a stack: its depth is not the
+    interpreter's recursion limit."""
+
+    def test_a_thousand_vertices(self):
+        search._ground_table.cache_clear()
+        size, cert = min_ground_set_size(empty_graph(1024), SearchConfig(element_bound=12))
+        assert (size, cert.kind) == (11, "witness")
+        assert _rows_filled(search._ground_table(tuple(range(11)))) == []
+
+    def test_a_long_path(self):
+        # 1,200 vertices, each label filling its row: deeper than the
+        # default recursion limit, with anchors on every position
+        size, cert = min_ground_set_size(path_graph(1200), SearchConfig(element_bound=12))
+        assert (size, cert.kind) == (11, "witness")
+        assert _is_indexer(path_graph(1200), _witness_labels(cert))
 
 
 # ---------------------------------------------------------------------------
