@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from .construct import (
     NoConstruction, canonical_iasi, strongly_uniform_iasi, two_uniform_iasi,
@@ -254,11 +253,11 @@ def _run_minsize(ns, cfg, graph_text):
     }
 
 
-def _run_uniform(ns, cfg, graph_text, cycles):
+def _run_uniform(ns, cfg, graph_text):
     g = _parse_graph(graph_text)
     if ns.k < 1:
         raise _CliError("--k must be positive")
-    cert = find_k_uniform(g, ns.k, cfg, mode=ns.mode, cycles=cycles)
+    cert = find_k_uniform(g, ns.k, cfg, mode=ns.mode)
     code = _CERTIFICATE_CODES[cert.kind]
     if ns.format == "text":
         if code == 0:
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
             runner = {
                 "construct": _run_construct,
                 "minsize": _run_minsize,
-                "uniform": partial(_run_uniform, cycles={}),  # this run's C_L verdicts
+                "uniform": _run_uniform,
                 "product": _run_product,
                 "convert": _run_convert,
             }[ns.command]

@@ -188,11 +188,11 @@ def _settled(cert):
     return cert
 
 
-def _exhausted(check, g, k, mode, record, cycles) -> bool:
-    """Whether find_k_uniform(g, k, mode=mode) exhausts its space; cycles is
-    the check's own memo of odd-cycle verdicts.  A witness fails the check,
-    recorded as g's graph6, record, direction, witness."""
-    cert = _settled(find_k_uniform(g, k, check.config, mode=mode, cycles=cycles))
+def _exhausted(check, g, k, mode, record) -> bool:
+    """Whether find_k_uniform(g, k, mode=mode) exhausts its space.  A
+    witness fails the check, recorded as g's graph6, record, direction,
+    witness."""
+    cert = _settled(find_k_uniform(g, k, check.config, mode=mode))
     if cert.kind != "exhausted":
         _fail(check, {"graph6": write_graph6(g), **record, "direction": "search",
                       "witness": labeling_to_json(cert.witness)})
@@ -560,7 +560,6 @@ def _k_uniform_iasi(out, k) -> bool:
 @_check("two-uniform-iff-bipartite", _SEARCHED, graphs=_CONNECTED_GRAPHS)
 def _check_two_uniform_iff_bipartite(check, d):
     built = searched = 0
-    cycles = {}
     for g in d.graphs:
         if is_bipartite(g).bipartite:
             out = two_uniform_iasi(g)
@@ -568,7 +567,7 @@ def _check_two_uniform_iff_bipartite(check, d):
             if not _k_uniform_iasi(out, 2):
                 _fail(check, {"graph6": write_graph6(g), "direction": "construct"})
         else:
-            _exhausted(check, g, 2, "any", {}, cycles)
+            _exhausted(check, g, 2, "any", {})
             searched += 1
     return {"constructed": built, "exhausted": searched}
 
@@ -655,7 +654,6 @@ def _check_weakly_uniform_iff_bipartite(check, d):
     if not ks:
         check.verdict = "inconclusive"
         check.reason = "empty domain"
-    cycles = {}
     for g in d.graphs:
         bipartite = is_bipartite(g).bipartite
         for k in ks:
@@ -665,7 +663,7 @@ def _check_weakly_uniform_iff_bipartite(check, d):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct"})
             else:
-                _exhausted(check, g, k, "weak", {"k": k}, cycles)
+                _exhausted(check, g, k, "weak", {"k": k})
     return {
         "graphs": len(d.graphs),
         "note": "k=1 excluded: all-singleton labelings are weakly 1-uniform "
@@ -712,7 +710,6 @@ def _check_strong_iff_disjoint(check, d):
         graphs=_CONNECTED_GRAPHS, ks=(1, 2, 3, 4))
 def _check_strongly_uniform(check, d):
     branches = {"completely-uniform": 0, "bipartite": 0, "none": 0}
-    cycles = {}
     for g in d.graphs:
         bip = is_bipartite(g).bipartite
         for k in d.ks:
@@ -732,7 +729,7 @@ def _check_strongly_uniform(check, d):
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct",
                                   "note": "construction should have refused"})
-                if _exhausted(check, g, k, "strong", {"k": k}, cycles):
+                if _exhausted(check, g, k, "strong", {"k": k}):
                     branches["none"] += 1
     return {"branches": branches}
 

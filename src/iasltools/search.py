@@ -137,15 +137,16 @@ def _twin_constraints(masks: list[int]) -> tuple[int, ...]:
 
     Twins (equal neighborhoods apart from each other) can swap labels
     without changing any verdict, so forcing ascending label indices
-    along a twin chain prunes without losing witnesses.
+    along a twin chain prunes without losing witnesses.  Non-adjacent
+    twins share their open mask, adjacent ones their closed mask (the
+    mask with the vertex's own bit); no open mask equals a closed one.
     """
     out = []
+    last: dict[int, int] = {}            # a mask -> the latest vertex with it
     for v, mv in enumerate(masks):
-        prev = -1
-        for u in range(v):
-            if masks[u] & ~(1 << v) == mv & ~(1 << u):
-                prev = u
-        out.append(prev)
+        closed = mv | 1 << v
+        out.append(max(last.get(mv, -1), last.get(closed, -1)))
+        last[mv] = last[closed] = v
     return tuple(out)
 
 
@@ -165,7 +166,8 @@ class _Table:
     labels i and j.  Under a pair rule (k, mode), pairs that break it
     are keyed 0, which no sum set has, and allowed[i] lists the labels
     allowed next to label i, ascending; without one, allowed is None.
-    A row is None until fill builds it.
+    A row is None until fill builds it.  cycles maps L to whether the
+    odd cycle C_L was exhausted over these labels, for find_k_uniform.
     """
 
     def __init__(self, labels, rule: tuple[int, str] | None = None):
@@ -174,6 +176,7 @@ class _Table:
         self.rule = rule
         self.key: list[list[int] | None] = [None] * len(labels)
         self.allowed = None if rule is None else [None] * len(labels)
+        self.cycles: dict[int, bool] = {}
 
     def fill(self, i: int, deadline: _Deadline) -> None:
         """Build row i by shift-OR after a deadline check, and store it
@@ -238,11 +241,13 @@ def _search_order(masks: list[int]) -> list[int]:
     return order
 
 
-def _odd_girth(g: Graph) -> int | None:
+def _odd_girth(g: Graph, deadline: _Deadline) -> int | None:
     """Length of a shortest odd cycle of g, None if g is bipartite: the
-    least 2d + 1 over BFS trees with an edge joining two depth-d vertices."""
+    least 2d + 1 over BFS trees with an edge joining two depth-d vertices.
+    The deadline is checked before each tree."""
     best = g.vertex_count + 1            # longer than any cycle of g
     for s in g.vertices():
+        deadline.check()
         depth = {s: 0}
         queue = [s]
         for v in queue:
@@ -265,9 +270,12 @@ def _backtrack(g: Graph, table: _Table, deadline: _Deadline):
     label placed at a vertex with a later neighbour has its row filled
     then, so every row the search reads exists.  Positions are kept on
     an explicit stack, so no graph is too large to recurse on.  None
-    when the whole space is exhausted.
+    when the whole space is exhausted, at once when g has more vertices
+    than table has labels.
     """
     deadline.check()
+    if g.vertex_count > len(table.labels):
+        return None
     masks = _neighbour_masks(g)
     order = _search_order(masks)
     twins = _twin_constraints(masks)
@@ -381,7 +389,6 @@ def min_ground_set_size(
 
 def find_k_uniform(
     g: Graph, k: int, config: SearchConfig | None = None, mode: str = "any",
-    *, cycles: dict | None = None,
 ) -> Certificate:
     """Exhaustive search for a k-uniform set-indexer within label bounds.
 
@@ -392,17 +399,12 @@ def find_k_uniform(
     A shortest odd cycle C_L of g with L < n is a subgraph, so when the
     search exhausts C_L, that refutation stands for g, unsearched; such
     a g can end "exhausted" where its own search would have run out of
-    budget.  Witnesses still come from the search of g itself.
-
-    cycles, if given, is the caller's memo of odd-cycle verdicts for one
-    run (one CLI invocation, one oracle check): it maps (L, k, mode,
-    element_bound, size_bound) to True when C_L was exhausted and False
-    when C_L has a witness, so each C_L is searched once per run.  A
-    verdict from g's own search is recorded only when g is C_L itself
-    (L = n).  The memo changes no certificate byte, but a warm one can
-    turn a would-be "budget_exceeded" into "exhausted"; time_budget=0
-    still gives "budget_exceeded".  None searches cold.
-    """
+    budget.  Witnesses still come from the search of g itself.  Each
+    C_L verdict is kept on the label table of k, mode and the bounds
+    while that table is cached, so C_L is searched once; g's own verdict
+    is kept only when g is C_L itself (L = n).  A kept verdict changes
+    no certificate byte, but can turn a would-be "budget_exceeded" into
+    "exhausted"; time_budget=0 still gives "budget_exceeded"."""
     if mode not in ("any", "weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
@@ -417,14 +419,12 @@ def find_k_uniform(
     try:
         deadline.check()
         table = _uniform_table(config.element_bound, config.size_bound, k, mode)
-        odd = _odd_girth(g)
-        cycles = {} if cycles is None else cycles
-        cycle = (odd, k, mode, config.element_bound, config.size_bound)
-        if odd is not None and odd < g.vertex_count and cycle not in cycles:
-            cycles[cycle] = _backtrack(cycle_graph(odd), table, deadline) is None
-        found = None if cycles.get(cycle) else _backtrack(g, table, deadline)
+        odd, cycles = _odd_girth(g, deadline), table.cycles
+        if odd is not None and odd < g.vertex_count and odd not in cycles:
+            cycles[odd] = _backtrack(cycle_graph(odd), table, deadline) is None
+        found = None if cycles.get(odd) else _backtrack(g, table, deadline)
         if odd == g.vertex_count:            # g is C_L: a chord closes a shorter odd cycle
-            cycles[cycle] = found is None
+            cycles[odd] = found is None
     except BudgetExceeded:
         return Certificate(
             "budget_exceeded", config,

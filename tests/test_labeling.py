@@ -535,8 +535,7 @@ class TestSumMemo:
                 assert labeling._EDGES == before
         assert len(before) == labeling._EDGES_CAP
 
-    def test_shared_records_and_violations_are_indistinguishable(self):
-        labeling._EDGES.clear()
+    def test_shared_records_and_violations_are_indistinguishable(self, cold_search):
         f = lab(path_graph(3), (0, 1), (0, 2), 7)
         first = classify(lab(path_graph(3), (0, 1), (0, 2), 9))
         second = classify(f)

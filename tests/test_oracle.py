@@ -395,13 +395,13 @@ class TestCounterexampleCertificates:
         f = SetLabeling(triangle, [IntegerSet([v]) for v in (0, 1, 3)])
         calls = []
 
-        def found(g, k, config, mode="any", *, cycles):
-            calls.append((write_graph6(g), k, mode, cycles))
+        def found(g, k, config, mode="any"):
+            calls.append((write_graph6(g), k, mode))
             return Certificate("witness", config, "stub", f)
 
         monkeypatch.setattr(oracle, "find_k_uniform", found)
         check = run_check(cid, corpus=Corpus(graphs=(triangle,), ks=ks))
-        assert calls == [("Bw", 2, mode, {})]      # the check's own, fresh memo
+        assert calls == [("Bw", 2, mode)]
         assert check.verdict == "counterexample"
         expected = {"graph6": "Bw", **leading, "direction": "search",
                     "witness": labeling_to_json(f)}

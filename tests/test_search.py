@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -195,13 +196,12 @@ class TestKUniform:
     def test_zero_budget_stops_the_odd_cycle_search(self, mode):
         # a triangle plus a pendant vertex: the cycle is searched first
         g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
-        assert search._odd_girth(g) == 3 < g.vertex_count
+        assert search._odd_girth(g, search._Deadline(60.0)) == 3 < g.vertex_count
         cert = find_k_uniform(g, 2, SearchConfig(element_bound=5, size_bound=3,
                                                  time_budget=0.0), mode=mode)
         assert cert.kind == "budget_exceeded"
 
-    def test_zero_budget_builds_no_table(self):
-        search._uniform_table.cache_clear()
+    def test_zero_budget_builds_no_table(self, cold_search):
         table = search._uniform_table(9, 10, 2, "any")      # the one the search would use
         cert = find_k_uniform(complete_graph(3), 2,
                               SearchConfig(element_bound=9, size_bound=10, time_budget=0.0))
@@ -213,6 +213,21 @@ class TestKUniform:
         with pytest.raises(ValueError):
             find_k_uniform(path_graph(2), 0)
 
+    def test_more_vertices_than_labels_is_exhausted_at_once(self, cold_search):
+        # 300 isolated vertices, all twins, and 255 labels at 8/4: the
+        # search ends after its first deadline check, filling no row
+        table = search._uniform_table(8, 4, 1, "any")
+        assert search._backtrack(empty_graph(300), table, _Countdown(1)) is None
+        assert _rows_filled(table) == []
+        assert find_k_uniform(empty_graph(300), 1).kind == "exhausted"
+        assert find_k_uniform(empty_graph(255), 1).kind == "witness"
+
+    def test_budget_bounds_the_odd_girth(self, monkeypatch):
+        # the fourth check (the third BFS tree) runs out before any search
+        monkeypatch.setattr(search, "_Deadline", lambda budget: _Countdown(3))
+        monkeypatch.setattr(search, "_backtrack", lambda *args: pytest.fail("searched"))
+        assert find_k_uniform(path_graph(3000), 2).kind == "budget_exceeded"
+
     def test_exhausted_certificate_names_space(self):
         cfg = SearchConfig(element_bound=5, size_bound=2)
         cert = find_k_uniform(complete_graph(3), 2, cfg)
@@ -221,7 +236,7 @@ class TestKUniform:
         assert "{0..5}" in payload["description"]
         assert payload["config"]["size_bound"] == 2
 
-    def test_refuted_odd_cycle_stands_for_the_graph(self, monkeypatch):
+    def test_refuted_odd_cycle_stands_for_the_graph(self, monkeypatch, cold_search):
         searched = []
         backtrack = search._backtrack
 
@@ -253,25 +268,27 @@ _PAW = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 
 
 class TestOddCycleMemo:
-    """find_k_uniform(cycles=...): one run's verdicts on its odd cycles."""
+    """The k-uniform label table keeps its verdicts on odd cycles."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_warm_memo_keeps_every_certificate(self, k):
+    def test_warm_memo_keeps_every_certificate(self, k, cold_search):
         graphs = _small_graphs() + list(enumerate_graphs(5, connected_only=True))
         cfg = SearchConfig(element_bound=4, size_bound=2)
         for mode in ("any", "weak", "strong"):
-            cold = [find_k_uniform(g, k, cfg, mode).to_json() for g in graphs]
-            memo = {}
-            forward = [find_k_uniform(g, k, cfg, mode, cycles=memo).to_json()
-                       for g in graphs]
-            assert set(memo) == {(3, k, mode, 4, 2), (5, k, mode, 4, 2)}
-            memo = {}
-            backward = [find_k_uniform(g, k, cfg, mode, cycles=memo).to_json()
+            cold = []
+            for g in graphs:
+                search._uniform_table.cache_clear()
+                cold.append(find_k_uniform(g, k, cfg, mode).to_json())
+            search._uniform_table.cache_clear()
+            forward = [find_k_uniform(g, k, cfg, mode).to_json() for g in graphs]
+            assert set(search._uniform_table(4, 2, k, mode).cycles) == {3, 5}
+            search._uniform_table.cache_clear()
+            backward = [find_k_uniform(g, k, cfg, mode).to_json()
                         for g in reversed(graphs)]
             assert forward == cold
             assert backward[::-1] == cold
 
-    def test_each_odd_cycle_is_searched_once(self, monkeypatch):
+    def test_each_odd_cycle_is_searched_once(self, monkeypatch, cold_search):
         searched = []
         backtrack = search._backtrack
 
@@ -281,7 +298,6 @@ class TestOddCycleMemo:
 
         monkeypatch.setattr(search, "_backtrack", spy)
         cfg = SearchConfig(element_bound=5, size_bound=3)
-        memo = {}
         cases = [
             (complete_graph(5), 2, "exhausted", [3]),      # C3 refutes K5
             (complete_graph(4), 2, "exhausted", []),       # ... and K4, unsearched
@@ -292,33 +308,40 @@ class TestOddCycleMemo:
         ]
         for g, k, kind, sizes in cases:
             searched.clear()
-            assert find_k_uniform(g, k, cfg, cycles=memo).kind == kind
+            assert find_k_uniform(g, k, cfg).kind == kind
             assert searched == sizes
-        assert memo == {(3, 2, "any", 5, 3): True, (5, 2, "any", 5, 3): True,
-                        (3, 3, "any", 5, 3): False}
+        assert search._uniform_table(5, 3, 2, "any").cycles == {3: True, 5: True}
+        assert search._uniform_table(5, 3, 3, "any").cycles == {3: False}
+        assert search._uniform_table.cache_info().currsize == 2
 
-    def test_verdict_of_a_larger_graph_is_not_kept(self):
+    def test_verdict_of_a_larger_graph_is_not_kept(self, cold_search):
         # at 4/2, k=3: C3 has a witness but K4 is exhausted
         cfg = SearchConfig(element_bound=4, size_bound=2)
-        memo = {}
-        assert find_k_uniform(complete_graph(4), 3, cfg, cycles=memo).kind == "exhausted"
-        assert memo == {(3, 3, "any", 4, 2): False}
+        cold = []
         for g in (_PAW, complete_graph(3)):
-            warm = find_k_uniform(g, 3, cfg, cycles=memo)
+            search._uniform_table.cache_clear()
+            cold.append(find_k_uniform(g, 3, cfg).to_json())
+        search._uniform_table.cache_clear()
+        assert find_k_uniform(complete_graph(4), 3, cfg).kind == "exhausted"
+        table = search._uniform_table(4, 2, 3, "any")
+        assert table.cycles == {3: False}
+        for g, expected in zip((_PAW, complete_graph(3)), cold):
+            warm = find_k_uniform(g, 3, cfg)
             assert warm.kind == "witness"
-            assert warm.to_json() == find_k_uniform(g, 3, cfg).to_json()
+            assert warm.to_json() == expected
+        assert table.cycles == {3: False}
 
-    def test_zero_budget_with_a_warm_memo(self):
-        memo = {}
+    def test_zero_budget_with_a_warm_memo(self, cold_search):
         cfg = SearchConfig(element_bound=5, size_bound=3)
         for k in (2, 3):
-            find_k_uniform(complete_graph(4), k, cfg, cycles=memo)
-        warmed = dict(memo)
+            find_k_uniform(complete_graph(4), k, cfg)
+        tables = [search._uniform_table(5, 3, k, "any") for k in (2, 3)]
+        warmed = [dict(t.cycles) for t in tables]
         broke = SearchConfig(element_bound=5, size_bound=3, time_budget=0.0)
         for g in (complete_graph(5), complete_graph(3), _PAW):
             for k in (2, 3):
-                assert find_k_uniform(g, k, broke, cycles=memo).kind == "budget_exceeded"
-        assert memo == warmed == {(3, 2, "any", 5, 3): True, (3, 3, "any", 5, 3): False}
+                assert find_k_uniform(g, k, broke).kind == "budget_exceeded"
+        assert [t.cycles for t in tables] == warmed == [{3: True}, {3: False}]
 
 
 class TestBinomialBound:
@@ -510,7 +533,15 @@ class TestAgainstBruteForce:
 
     def test_odd_girth(self):
         for g in _small_graphs(5):
-            assert search._odd_girth(g) == _shortest_odd_closed_walk(g), write_graph6(g)
+            girth = search._odd_girth(g, search._Deadline(60.0))
+            assert girth == _shortest_odd_closed_walk(g), write_graph6(g)
+
+    def test_odd_girth_checks_the_deadline_before_each_tree(self):
+        for g, girth in ((path_graph(6), None), (cycle_graph(5), 5)):
+            n = g.vertex_count
+            with pytest.raises(search.BudgetExceeded):
+                search._odd_girth(g, _Countdown(n - 1))
+            assert search._odd_girth(g, _Countdown(n)) == girth
 
     def test_odd_cycle_refutation_keeps_every_verdict(self):
         """The verdict with the odd-cycle step equals a direct search of g."""
@@ -586,13 +617,20 @@ class TestGroundTables:
             masks = search._neighbour_masks(g)
             assert search._twin_constraints(masks) == _frozenset_twins(g), write_graph6(g)
 
+    def test_twin_floors_take_linear_time(self):
+        # 4,000 isolated vertices are all twins; the budget does not bound
+        # the twin floors, so only their own cost keeps this call short
+        start = time.perf_counter()
+        min_ground_set_size(empty_graph(4000),
+                            SearchConfig(element_bound=12, time_budget=0.01))
+        assert time.perf_counter() - start < 0.5
+
     def test_mask_search_order_matches_neighbourhood_sets(self):
         for g in _small_graphs(6):
             order = search._search_order(search._neighbour_masks(g))
             assert order == _frozenset_search_order(g), write_graph6(g)
 
-    def test_zero_budget_builds_no_table(self):
-        search._ground_table.cache_clear()
+    def test_zero_budget_builds_no_table(self, cold_search):
         table = search._ground_table((0, 1, 2))             # K5's first ground set
         size, cert = min_ground_set_size(
             complete_graph(5), SearchConfig(time_budget=0.0))
@@ -600,8 +638,7 @@ class TestGroundTables:
         assert _rows_filled(table) == []
         assert search._ground_table.cache_info().currsize == 1
 
-    def test_build_cut_short_caches_nothing(self):
-        search._ground_table.cache_clear()
+    def test_build_cut_short_caches_nothing(self, cold_search):
         table = search._ground_table((0, 1, 2, 3, 4, 5))
         with pytest.raises(search.BudgetExceeded):
             table.fill(5, _Countdown(0))
@@ -617,9 +654,7 @@ class TestGroundTables:
             assert table.key[i] == [sum({1 << (x + y) for x in a for y in b})
                                     for b in table.labels]
 
-    def test_rows_are_filled_for_labels_with_a_later_neighbour(self):
-        search._ground_table.cache_clear()
-        search._uniform_table.cache_clear()
+    def test_rows_are_filled_for_labels_with_a_later_neighbour(self, cold_search):
         assert min_ground_set_size(empty_graph(5))[0] == 3
         assert _rows_filled(search._ground_table((0, 1, 2))) == []
         cert = find_k_uniform(path_graph(2), 1, SearchConfig(element_bound=9, size_bound=10))
@@ -658,9 +693,8 @@ class TestGroundTables:
         assert certificates(graphs, cold=False) == cold
         assert certificates(graphs[::-1], cold=False) == cold
 
-    def test_one_table_per_batch(self, tmp_path):
+    def test_one_table_per_batch(self, tmp_path, cold_search):
         graphs = list(enumerate_graphs(5, connected_only=True))[:40]
-        search._ground_table.cache_clear()
         _batch_digest(tmp_path, graphs, "minsize")
         info = search._ground_table.cache_info()
         assert (info.misses, info.hits) == (1, 39)
@@ -670,8 +704,7 @@ class TestIterativeSearch:
     """The search keeps its positions on a stack: its depth is not the
     interpreter's recursion limit."""
 
-    def test_a_thousand_vertices(self):
-        search._ground_table.cache_clear()
+    def test_a_thousand_vertices(self, cold_search):
         size, cert = min_ground_set_size(empty_graph(1024), SearchConfig(element_bound=12))
         assert (size, cert.kind) == (11, "witness")
         assert _rows_filled(search._ground_table(tuple(range(11)))) == []
