@@ -114,11 +114,10 @@ class Graph:
 
 
 def _trusted(vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    """Graph() of edges already distinct, in range and sorted, without re-checking."""
+    """Graph() of edges already distinct, in range and sorted, without re-checking,
+    in one dict update rather than three frozen-field setattr calls."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", vertex_count)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "names", None)
+    g.__dict__.update(vertex_count=vertex_count, edges=edges, names=None)
     return g
 
 
@@ -490,35 +489,49 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """All labeled graphs on n vertices, ascending by edge bitmask.
 
-    Bit k of the mask is the k-th pair in lexicographic order.  Both
-    filters are decided on the mask, with vertex bitmasks, before any
-    graph is built.  The cap guards against runaway enumeration; larger
-    corpora should come from a graph6 file instead.
+    Bit k of the mask is the k-th pair in lexicographic order.  The low
+    C(n,2) // 2 bits and the rest are two half-masks, each with its edge
+    tuple and covered vertices tabulated; masks run high-major, so they
+    stay ascending.  A graph is disconnected exactly when some S holding
+    vertex 0, not all of V, has no edge leaving it, so a low half must
+    cross every such cut that its high half leaves open.  The cap guards
+    against runaway enumeration; larger corpora should come from a
+    graph6 file instead.
     """
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
     if n > MAX_ENUMERATION_VERTICES:
         raise GraphError(f"n={n} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
-    slots = [(pair, 1 << pair[0] | 1 << pair[1]) for pair in combinations(range(n), 2)]
+    pairs = tuple(combinations(range(n), 2))
+    low = len(pairs) // 2
+    low_edges, low_cover = _half_table(pairs[:low])
+    high_edges, high_cover = _half_table(pairs[low:])
     everyone = (1 << n) - 1
-    for mask in range(1 << len(slots)):
-        picked = [slot for k, slot in enumerate(slots) if mask >> k & 1]
-        if skip_isolated:
-            covered = 0
-            for _, ends in picked:
-                covered |= ends
-            if covered != everyone:
+    crossed = (sum(1 << k for k, (u, v) in enumerate(pairs) if (s >> u ^ s >> v) & 1)
+               for s in range(1, everyone, 2))      # the pairs each S above separates
+    cuts = [(c & ((1 << low) - 1), c >> low) for c in crossed] if connected_only else []
+    for h, high in enumerate(high_edges):
+        open_cuts = [c for c, hc in cuts if not h & hc]
+        if 0 in open_cuts:               # a cut no low half can cross
+            continue
+        for l, edges in enumerate(low_edges):
+            if skip_isolated and low_cover[l] | high_cover[h] != everyone:
                 continue
-        if connected_only:
-            component, before = everyone & 1, -1  # vertex 0, if n > 0
-            while component != before:
-                before = component
-                for _, ends in picked:
-                    if component & ends:
-                        component |= ends
-            if component != everyone:
-                continue
-        yield _trusted(n, tuple(pair for pair, _ in picked))
+            for c in open_cuts:
+                if not l & c:
+                    break
+            else:
+                yield _trusted(n, edges + high)
+
+
+def _half_table(pairs):
+    """Edge tuple and covered-vertex mask of every mask over pairs."""
+    edges, cover = [()], [0]
+    for pair in pairs:                   # the masks with this bit: those below it, plus pair
+        ends = 1 << pair[0] | 1 << pair[1]
+        edges += [e + (pair,) for e in edges]
+        cover += [c | ends for c in cover]
+    return edges, cover
 
 
 def to_dot(g: Graph) -> str:

@@ -244,20 +244,28 @@ def _search_order(masks: list[int]) -> list[int]:
 def _odd_girth(g: Graph, deadline: _Deadline) -> int | None:
     """Length of a shortest odd cycle of g, None if g is bipartite: the
     least 2d + 1 over BFS trees with an edge joining two depth-d vertices.
-    The deadline is checked before each tree."""
-    best = g.vertex_count + 1            # longer than any cycle of g
+    A tree with no such edge spans a bipartite component, whose other
+    roots are skipped.  The deadline is checked before each tree."""
+    best = none = 2 * g.vertex_count     # longer than any 2d + 1 a tree finds
+    bipartite = set()                    # the vertices of bipartite components
     for s in g.vertices():
+        if s in bipartite:
+            continue
         deadline.check()
         depth = {s: 0}
         queue = [s]
+        odd = none
         for v in queue:
             for w in g.adjacency[v]:
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     queue.append(w)
                 elif depth[w] == depth[v]:
-                    best = min(best, 2 * depth[v] + 1)
-    return best if best <= g.vertex_count else None
+                    odd = min(odd, 2 * depth[v] + 1)
+        if odd == none:
+            bipartite.update(queue)
+        best = min(best, odd)
+    return best if best < none else None
 
 
 def _backtrack(g: Graph, table: _Table, deadline: _Deadline):

@@ -276,8 +276,9 @@ class TestEnumerate:
         (7, "n=7 exceeds enumeration cap 6"),
     ], ids=["negative", "over-cap"])
     def test_guard(self, n, message):
+        graphs = enumerate_graphs(n)         # lazy: the first next() raises
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-            list(enumerate_graphs(n))
+            next(graphs)
 
     @pytest.mark.parametrize("n", range(7))
     def test_matches_build_then_filter(self, n):
@@ -305,6 +306,40 @@ class TestEnumerate:
         second = list(enumerate_graphs(4))[:5]
         assert first == second
         assert first[0].edge_count == 0
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_cut_rule_matches_is_connected(self, n):
+        # g is disconnected exactly when some S holding vertex 0, not all
+        # of V, has no edge of g leaving it
+        slots = list(combinations(range(n), 2))
+        cuts = [sum(1 << k for k, (u, v) in enumerate(slots) if (u in S) != (v in S))
+                for r in range(n - 1)
+                for S in ({0, *rest} for rest in combinations(range(1, n), r))]
+        assert len(cuts) == max(2 ** (n - 1) - 1, 0)
+        for mask in range(1 << len(slots)):
+            g = Graph(n, tuple(s for k, s in enumerate(slots) if mask >> k & 1))
+            assert all(mask & cut for cut in cuts) == g.is_connected(), mask
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The graphs enumerate_graphs builds, as it builds them."""
+        made, trusted = [], graph._trusted
+
+        def counting(n, edges):
+            made.append(edges)
+            return trusted(n, edges)
+
+        monkeypatch.setattr(graph, "_trusted", counting)
+        return made
+
+    def test_builds_lazily(self, built):
+        first = next(enumerate_graphs(6, connected_only=True))
+        assert first == Graph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)))
+        assert len(built) == 1
+
+    def test_builds_only_accepted_graphs(self, built):
+        assert sum(1 for _ in enumerate_graphs(6, connected_only=True)) == 26704
+        assert len(built) == 26704
 
 
 class TestDot:

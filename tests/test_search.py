@@ -223,10 +223,17 @@ class TestKUniform:
         assert find_k_uniform(empty_graph(255), 1).kind == "witness"
 
     def test_budget_bounds_the_odd_girth(self, monkeypatch):
-        # the fourth check (the third BFS tree) runs out before any search
+        # the fourth check (the third BFS tree) runs out before any search;
+        # an odd cycle is not bipartite, so every vertex roots a tree
         monkeypatch.setattr(search, "_Deadline", lambda budget: _Countdown(3))
         monkeypatch.setattr(search, "_backtrack", lambda *args: pytest.fail("searched"))
-        assert find_k_uniform(path_graph(3000), 2).kind == "budget_exceeded"
+        assert find_k_uniform(cycle_graph(2999), 2).kind == "budget_exceeded"
+
+    def test_bipartite_graph_takes_one_tree_per_component(self, monkeypatch):
+        # the opening check, one BFS tree, and the search's own check: 3000
+        # vertices are more than the 255 labels, so it is exhausted at once
+        monkeypatch.setattr(search, "_Deadline", lambda budget: _Countdown(3))
+        assert find_k_uniform(path_graph(3000), 2).kind == "exhausted"
 
     def test_exhausted_certificate_names_space(self):
         cfg = SearchConfig(element_bound=5, size_bound=2)
@@ -537,11 +544,11 @@ class TestAgainstBruteForce:
             assert girth == _shortest_odd_closed_walk(g), write_graph6(g)
 
     def test_odd_girth_checks_the_deadline_before_each_tree(self):
-        for g, girth in ((path_graph(6), None), (cycle_graph(5), 5)):
-            n = g.vertex_count
+        # a bipartite component needs only the tree of its first vertex
+        for g, girth, trees in ((path_graph(6), None, 1), (cycle_graph(5), 5, 5)):
             with pytest.raises(search.BudgetExceeded):
-                search._odd_girth(g, _Countdown(n - 1))
-            assert search._odd_girth(g, _Countdown(n)) == girth
+                search._odd_girth(g, _Countdown(trees - 1))
+            assert search._odd_girth(g, _Countdown(trees)) == girth
 
     def test_odd_cycle_refutation_keeps_every_verdict(self):
         """The verdict with the odd-cycle step equals a direct search of g."""
