@@ -9,7 +9,6 @@ indices, edge vertices) and are excluded from equality.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product as iproduct
@@ -70,12 +69,42 @@ class Graph:
         object.__setattr__(self, "names", names)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        neigh: list[set[int]] = [set() for _ in range(self.vertex_count)]
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbourhood as a bitmask: bit w of masks[v] is
+        set exactly when vw is an edge."""
+        masks = [0] * self.vertex_count
         for u, v in self.edges:
-            neigh[u].add(v)
-            neigh[v].add(u)
-        return tuple(frozenset(s) for s in neigh)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(m)) for m in self.masks)
+
+    @cached_property
+    def bfs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(order, parent, depth) of one breadth-first search of every
+        component, in order of their least vertices, each rooted there.
+        Each vertex's unseen neighbours are queued in ascending order.  A
+        root has parent -1 and depth 0, so depth counts 0 once per
+        component."""
+        n, masks = self.vertex_count, self.masks
+        parent, depth = [-1] * n, [0] * n
+        order, seen = [], 0
+        for root in range(n):
+            if seen >> root & 1:
+                continue
+            seen |= 1 << root
+            queue = [root]
+            for v in queue:
+                fresh = masks[v] & ~seen
+                seen |= fresh
+                for w in bits(fresh):
+                    parent[w], depth[w] = v, depth[v] + 1
+                    queue.append(w)
+            order += queue
+        return tuple(order), tuple(parent), tuple(depth)
 
     @cached_property
     def _graph6(self) -> str:
@@ -101,16 +130,17 @@ class Graph:
         return tuple(v for v in self.vertices() if not self.adjacency[v])
 
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for w in self.adjacency[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.vertex_count
+        """At most one component.  Kept as the reference that TestEnumerate
+        checks enumerate_graphs' cut rule for connected_only against."""
+        return self.bfs[2].count(0) <= 1
+
+
+def bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _trusted(vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
@@ -198,42 +228,30 @@ class BipartitenessResult:
 
 
 def is_bipartite(g: Graph) -> BipartitenessResult:
-    """2-color by BFS; on failure return an odd cycle as certificate.
+    """2-color by depth parity in g.bfs; on failure return an odd cycle
+    as certificate, closed by the first edge in BFS order, each vertex's
+    neighbours ascending, whose two ends have equal depth.
 
     The cycle is a vertex sequence whose consecutive pairs, and the
     closing pair, are all edges; its length is odd.
     """
-    color: list[int | None] = [None] * g.vertex_count
-    parent: list[int] = [-1] * g.vertex_count
-    for root in g.vertices():
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adjacency[v]):
-                if color[w] is None:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return BipartitenessResult(False, None, _odd_cycle(parent, v, w))
-    return BipartitenessResult(True, tuple(color), None)
+    order, parent, depth = g.bfs
+    for v in order:
+        for w in bits(g.masks[v]):
+            if depth[w] == depth[v]:
+                return BipartitenessResult(False, None, _odd_cycle(parent, v, w))
+    return BipartitenessResult(True, tuple(d & 1 for d in depth), None)
 
 
-def _odd_cycle(parent: list[int], v: int, w: int) -> tuple[int, ...]:
-    # walk both BFS paths up to the lowest common ancestor
-    up_v = [v]
-    while parent[up_v[-1]] != -1:
+def _odd_cycle(parent: tuple[int, ...], v: int, w: int) -> tuple[int, ...]:
+    """The odd cycle that edge vw closes through the lowest common BFS
+    ancestor of v and w, from it down to v, then w up to below it.  v and
+    w have equal depth, so their paths up meet in the same step."""
+    up_v, up_w = [v], [w]
+    while up_v[-1] != up_w[-1]:
         up_v.append(parent[up_v[-1]])
-    on_v_path = {x: i for i, x in enumerate(up_v)}
-    up_w = [w]
-    while up_w[-1] not in on_v_path:
         up_w.append(parent[up_w[-1]])
-    lca_idx = on_v_path[up_w[-1]]
-    cycle = list(reversed(up_v[: lca_idx + 1])) + up_w[:-1]
-    return tuple(cycle)
+    return tuple(reversed(up_v)) + tuple(up_w[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -168,15 +168,6 @@ class CompatibilityTable:
                 grouped.setdefault(x + y, []).append((x, y))
         return tuple((s, tuple(grouped[s])) for s in sorted(grouped))
 
-    def as_dict(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return dict(self.classes)
-
-    def class_pairs(self, k: int) -> tuple[tuple[int, int], ...]:
-        for s, pairs in self.classes:
-            if s == k:
-                return pairs
-        return ()
-
 
 def compatibility_table(a: IntegerSet, b: IntegerSet) -> CompatibilityTable:
     """Group the ordered pairs of a x b by their sum."""

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
 
-from .graph import Graph, cycle_graph
+from .graph import Graph, bits, cycle_graph
 from .intset import IntegerSet
 from .labeling import SetLabeling, classify, ground_set, labeling_to_json
 
@@ -114,24 +114,7 @@ class _Deadline:
             raise BudgetExceeded
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Each vertex's neighbourhood as a bitmask."""
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _bits(mask: int):
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _twin_constraints(masks: list[int]) -> tuple[int, ...]:
+def _twin_constraints(masks: tuple[int, ...]) -> tuple[int, ...]:
     """For each vertex, the largest smaller twin (or -1), from the
     neighbourhood bitmasks.
 
@@ -223,30 +206,15 @@ def _uniform_table(element_bound: int, size_bound: int, k: int, mode: str) -> _T
     return _Table([IntegerSet(s) for s in subsets if len(s) <= size_bound], (k, mode))
 
 
-def _search_order(masks: list[int]) -> list[int]:
-    """Components in order, BFS inside each, so constraints bind early;
-    each vertex's unseen neighbours are queued in ascending order."""
-    seen = 0
-    order: list[int] = []
-    for start in range(len(masks)):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        queue = [start]
-        for v in queue:
-            fresh = masks[v] & ~seen
-            seen |= fresh
-            queue.extend(_bits(fresh))
-        order += queue
-    return order
-
-
 def _odd_girth(g: Graph, deadline: _Deadline) -> int | None:
-    """Length of a shortest odd cycle of g, None if g is bipartite: the
-    least 2d + 1 over BFS trees with an edge joining two depth-d vertices.
-    A tree with no such edge spans a bipartite component, whose other
-    roots are skipped.  The deadline is checked before each tree."""
-    best = none = 2 * g.vertex_count     # longer than any 2d + 1 a tree finds
+    """Length of a shortest odd cycle of g, None if g is bipartite: 2d + 1
+    for the least d at which a BFS tree has an edge joining two depth-d
+    vertices.  Once a d is found, every tree stops at its first vertex of
+    depth d or more.  The end of such an edge popped first sees it and the
+    tree stops by the other end, so a tree that runs to its end spans a
+    bipartite component, whose other roots are skipped.  The deadline is
+    checked before each tree."""
+    stop = n = g.vertex_count            # deeper than any vertex
     bipartite = set()                    # the vertices of bipartite components
     for s in g.vertices():
         if s in bipartite:
@@ -254,44 +222,44 @@ def _odd_girth(g: Graph, deadline: _Deadline) -> int | None:
         deadline.check()
         depth = {s: 0}
         queue = [s]
-        odd = none
         for v in queue:
+            d = depth[v]
+            if d >= stop:
+                break
             for w in g.adjacency[v]:
                 if w not in depth:
-                    depth[w] = depth[v] + 1
+                    depth[w] = d + 1
                     queue.append(w)
-                elif depth[w] == depth[v]:
-                    odd = min(odd, 2 * depth[v] + 1)
-        if odd == none:
+                elif depth[w] == d:
+                    stop = d
+        else:                            # no equal-depth edge
             bipartite.update(queue)
-        best = min(best, odd)
-    return best if best < none else None
+    return 2 * stop + 1 if stop < n else None
 
 
 def _backtrack(g: Graph, table: _Table, deadline: _Deadline):
     """The first set-indexer of g over table's labels, one label per vertex.
 
-    Vertices take distinct labels, in _search_order, each trying labels
-    in domain order; the labels of every edge must have a non-zero
-    sum-set key that no other edge has.  Under a pair rule a vertex
-    tries only the labels allowed next to its placed neighbours.  A
-    label placed at a vertex with a later neighbour has its row filled
-    then, so every row the search reads exists.  Positions are kept on
-    an explicit stack, so no graph is too large to recurse on.  None
-    when the whole space is exhausted, at once when g has more vertices
-    than table has labels.
+    Vertices take distinct labels, in g.bfs order so that constraints
+    bind early, each trying labels in domain order; the labels of every
+    edge must have a non-zero sum-set key that no other edge has.  Under
+    a pair rule a vertex tries only the labels allowed next to its placed
+    neighbours.  A label placed at a vertex with a later neighbour has
+    its row filled then, so every row the search reads exists.
+    Positions are kept on an explicit stack, so no graph is too large to
+    recurse on.  None when the whole space is exhausted, at once when g
+    has more vertices than table has labels.
     """
     deadline.check()
     if g.vertex_count > len(table.labels):
         return None
-    masks = _neighbour_masks(g)
-    order = _search_order(masks)
+    masks, order = g.masks, g.bfs[0]
     twins = _twin_constraints(masks)
     earlier = [[] for _ in masks]        # neighbours placed before v, ascending
     fills = [False] * len(masks)         # v has a neighbour placed after it
     placed = 0
     for v in order:
-        earlier[v] = list(_bits(masks[v] & placed))
+        earlier[v] = list(bits(masks[v] & placed))
         placed |= 1 << v
         fills[v] = masks[v] & ~placed != 0
     key, allowed, nlab, nv = table.key, table.allowed, len(table.labels), len(order)
@@ -427,7 +395,9 @@ def find_k_uniform(
     try:
         deadline.check()
         table = _uniform_table(config.element_bound, config.size_bound, k, mode)
-        odd, cycles = _odd_girth(g, deadline), table.cycles
+        # with more vertices than labels, _backtrack exhausts at once: no girth
+        odd = None if g.vertex_count > len(table.labels) else _odd_girth(g, deadline)
+        cycles = table.cycles
         if odd is not None and odd < g.vertex_count and odd not in cycles:
             cycles[odd] = _backtrack(cycle_graph(odd), table, deadline) is None
         found = None if cycles.get(odd) else _backtrack(g, table, deadline)

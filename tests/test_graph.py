@@ -1,6 +1,8 @@
 """Graph core, bipartiteness certificates, and the operation toolbox."""
 
+import random
 import re
+from collections import deque
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -128,6 +130,47 @@ class TestBipartite:
         res = is_bipartite(g)
         assert not res.bipartite
         assert set(res.odd_cycle) == {2, 3, 4}
+
+    def test_matches_the_queue_reference(self):
+        # the odd cycle reaches CLI output through NoConstruction, so the
+        # whole result is pinned, not only the verdict
+        rng = random.Random(20261020)
+        graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+        for _ in range(2000):
+            n, p = rng.randint(1, 40), rng.random() ** 2 / 2
+            graphs.append(build(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        for g in graphs:
+            assert is_bipartite(g) == _queue_is_bipartite(g), write_graph6(g)
+
+
+def _queue_is_bipartite(g):
+    """2-colouring by a queue BFS with an odd-cycle certificate, stopping
+    at the first clash: the reference is_bipartite must reproduce."""
+    color = [None] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    for root in g.vertices():
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(g.adjacency[v]):
+                if color[w] is None:
+                    color[w] = 1 - color[v]
+                    parent[w] = v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    up_v = [v]
+                    while parent[up_v[-1]] != -1:
+                        up_v.append(parent[up_v[-1]])
+                    on_v_path = {x: i for i, x in enumerate(up_v)}
+                    up_w = [w]
+                    while up_w[-1] not in on_v_path:
+                        up_w.append(parent[up_w[-1]])
+                    cycle = up_v[: on_v_path[up_w[-1]] + 1][::-1] + up_w[:-1]
+                    return graph.BipartitenessResult(False, None, tuple(cycle))
+    return graph.BipartitenessResult(True, tuple(color), None)
 
 
 class TestOperations:

@@ -224,10 +224,26 @@ class TestKUniform:
 
     def test_budget_bounds_the_odd_girth(self, monkeypatch):
         # the fourth check (the third BFS tree) runs out before any search;
-        # an odd cycle is not bipartite, so every vertex roots a tree
+        # an odd cycle is not bipartite, so every vertex roots a tree, and
+        # its 1,001 vertices are fewer than the 1,023 labels at 9/9
         monkeypatch.setattr(search, "_Deadline", lambda budget: _Countdown(3))
         monkeypatch.setattr(search, "_backtrack", lambda *args: pytest.fail("searched"))
-        assert find_k_uniform(cycle_graph(2999), 2).kind == "budget_exceeded"
+        cfg = SearchConfig(element_bound=9, size_bound=9)
+        assert find_k_uniform(cycle_graph(1001), 2, cfg).kind == "budget_exceeded"
+
+    def test_more_vertices_than_labels_skips_the_odd_girth(self, monkeypatch):
+        # 2,999 vertices and 255 labels at 8/4: exhausted without a BFS tree
+        monkeypatch.setattr(search, "_odd_girth", lambda *args: pytest.fail("girth"))
+        assert find_k_uniform(cycle_graph(2999), 2).kind == "exhausted"
+
+    def test_odd_girth_trees_stop_at_the_best_cycle(self):
+        # K300's first tree finds a triangle at depth 1, so every tree stops
+        # there; 300 trees run to their ends would take 300 x 44,850 steps
+        start = time.perf_counter()
+        cert = find_k_uniform(complete_graph(300), 2, SearchConfig(element_bound=9,
+                                                                   size_bound=9))
+        assert cert.kind == "exhausted"
+        assert time.perf_counter() - start < 3.0
 
     def test_bipartite_graph_takes_one_tree_per_component(self, monkeypatch):
         # the opening check, one BFS tree, and the search's own check: 3000
@@ -621,7 +637,7 @@ def _sweep_graphs():
 class TestGroundTables:
     def test_twin_masks_match_neighbourhood_sets(self):
         for g in _small_graphs(6):
-            masks = search._neighbour_masks(g)
+            masks = g.masks
             assert search._twin_constraints(masks) == _frozenset_twins(g), write_graph6(g)
 
     def test_twin_floors_take_linear_time(self):
@@ -634,7 +650,7 @@ class TestGroundTables:
 
     def test_mask_search_order_matches_neighbourhood_sets(self):
         for g in _small_graphs(6):
-            order = search._search_order(search._neighbour_masks(g))
+            order = list(g.bfs[0])
             assert order == _frozenset_search_order(g), write_graph6(g)
 
     def test_zero_budget_builds_no_table(self, cold_search):
@@ -672,7 +688,7 @@ class TestGroundTables:
             search._ground_table.cache_clear()
             size, cert = min_ground_set_size(g)
             ground = tuple(cert.data["ground_set"])
-            order = search._search_order(search._neighbour_masks(g))
+            order = list(g.bfs[0])
             table = search._ground_table(ground)
             rows = set(_rows_filled(table))
             for p, v in enumerate(order):
