@@ -12,6 +12,7 @@ formula output is kept alongside as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .graph import (
     PRODUCT_KINDS, Graph, GraphError, complement, contract_edge, corona,
@@ -196,7 +197,7 @@ def weakly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstructio
 
 def _primes_above(floor: int, count: int) -> list[int]:
     out = []
-    x = max(floor, 1) + 1
+    x = floor + 1
     while len(out) < count:
         if all(x % p for p in range(2, int(x ** 0.5) + 1)):
             out.append(x)
@@ -223,8 +224,7 @@ def _shifted_progressions(lengths: list[int]) -> tuple[list[IntegerSet], str]:
             f"a {max_len}-term progression with a prime difference above "
             f"{max_len} exceeds bound {DEFAULT_ELEMENT_BOUND}")
     primes = _primes_above(max_len, len(lengths))
-    extent = 2 * (max_len - 1) * primes[-1] if max_len > 1 else 0
-    scale = 1 << extent.bit_length() if extent else 1
+    scale = 1 << (2 * (max_len - 1) * primes[-1]).bit_length()
     labels = [
         IntegerSet(scale * (1 << v) + t * d for t in range(length))
         for v, (length, d) in enumerate(zip(lengths, primes))
@@ -242,7 +242,7 @@ def strongly_uniform_iasi(g: Graph, k: int) -> ConstructionOutcome | NoConstruct
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    root = round(k ** 0.5)
+    root = isqrt(k)
     if root * root == k:
         lengths = [root] * g.vertex_count
         branch = f"completely uniform branch: all labels size {root}"
@@ -327,8 +327,9 @@ def rooted_labeling(f1: SetLabeling, f2: SetLabeling, root: int) -> Construction
 
     Multipliers are tried in order 1, 2, 3, ... and any that collides
     with labels already placed is skipped, keeping the multiples
-    literally distinct.  If skipping cannot work (say f2 labels {0}),
-    the standard repair pass still restores injectivity at the end.
+    literally distinct.  A copy with no free multiple among its 16 + 4*n1
+    tries (say f2 labels {0}) keeps the last one tried, and the standard
+    repair pass still restores injectivity at the end.
     """
     graph = rooted_product(f1.graph, f2.graph, root)
     n1, n2 = f1.graph.vertex_count, f2.graph.vertex_count
@@ -337,19 +338,11 @@ def rooted_labeling(f1: SetLabeling, f2: SetLabeling, root: int) -> Construction
     taken = set(f1.labels)
     multiplier = 0
     for i in range(n1):
-        chosen = None
         for _ in range(16 + 4 * n1):
             multiplier += 1
-            try:
-                cand = [integral_multiple(multiplier, f2.labels[j]) for j in others]
-            except ValueError:
-                break
-            if len(set(cand)) == len(cand) and not taken.intersection(cand):
-                chosen = cand
-                break
-        if chosen is None:
-            # give up on skipping; the repair pass will fix duplicates
             chosen = [integral_multiple(multiplier, f2.labels[j]) for j in others]
+            if len(set(chosen)) == len(chosen) and not taken.intersection(chosen):
+                break
         taken.update(chosen)
         for r, j in enumerate(others):
             labels[n1 + i * (n2 - 1) + r] = chosen[r]
@@ -401,7 +394,7 @@ def minor_labeling(f: SetLabeling, script) -> ConstructionOutcome:
             graph = res.graph
         elif step == "delete-edge":
             u, v = min(arg), max(arg)
-            if (u, v) not in set(graph.edges):
+            if not graph.has_edge(u, v):
                 raise GraphError(f"edge ({u},{v}) not in graph")
             graph = Graph(graph.vertex_count,
                           tuple(e for e in graph.edges if e != (u, v)),

@@ -80,7 +80,11 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bits(m)) for m in self.masks)
+        adjacent = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        return tuple(map(frozenset, adjacent))
 
     @cached_property
     def bfs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -118,7 +122,8 @@ class Graph:
         return range(self.vertex_count)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        """Whether uv is an edge; any id outside 0..n-1 gives False."""
+        return 0 <= u < self.vertex_count and v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -441,7 +446,7 @@ def total_graph(g: Graph) -> TotalGraphResult:
 def subdivide_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     """Replace edge uv by a path u-w-v; w is the new last vertex."""
     u, v = min(edge), max(edge)
-    if (u, v) not in set(g.edges):
+    if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not in graph")
     w = g.vertex_count
     edges = [e for e in g.edges if e != (u, v)] + [(u, w), (v, w)]
@@ -460,7 +465,7 @@ class ContractionResult:
 def contract_edge(g: Graph, edge: tuple[int, int]) -> ContractionResult:
     """Merge the endpoints of an edge; simple quotient, no loops or multiedges."""
     u, v = min(edge), max(edge)
-    if (u, v) not in set(g.edges):
+    if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not in graph")
     vmap = []
     for x in g.vertices():
@@ -470,12 +475,8 @@ def contract_edge(g: Graph, edge: tuple[int, int]) -> ContractionResult:
             vmap.append(x - 1)
         else:
             vmap.append(x)
-    edges = {
-        (min(vmap[x], vmap[y]), max(vmap[x], vmap[y]))
-        for x, y in g.edges
-        if (x, y) != (u, v)
-    }
-    edges = {e for e in edges if e[0] != e[1]}
+    # only uv itself maps to a loop; Graph collapses the parallel pairs
+    edges = [(vmap[x], vmap[y]) for x, y in g.edges if (x, y) != (u, v)]
     return ContractionResult(Graph(g.vertex_count - 1, edges), tuple(vmap))
 
 

@@ -44,23 +44,15 @@ def _decode_size(text: str) -> tuple[int, int]:
         return first, 1
     if len(text) < 2:
         raise Graph6Error("truncated size header", 1)
-    if ord(text[1]) - _OFFSET == _MAX_SHORT + 1:
-        if len(text) < 8:
-            raise Graph6Error("truncated 8-byte size header", len(text))
-        n = 0
-        for pos in range(2, 8):
-            n = (n << 6) | _checked(text, pos)
-        if n <= _MAX_MEDIUM:
-            raise Graph6Error(f"non-minimal size header for n={n}", 0)
-        return n, 8
-    if len(text) < 4:
-        raise Graph6Error("truncated 4-byte size header", len(text))
+    start, end, floor = (2, 8, _MAX_MEDIUM) if text[1] == "~" else (1, 4, _MAX_SHORT)
+    if len(text) < end:
+        raise Graph6Error(f"truncated {end}-byte size header", len(text))
     n = 0
-    for pos in range(1, 4):
+    for pos in range(start, end):
         n = (n << 6) | _checked(text, pos)
-    if n <= _MAX_SHORT:
+    if n <= floor:
         raise Graph6Error(f"non-minimal size header for n={n}", 0)
-    return n, 4
+    return n, end
 
 
 def _encode_size(n: int) -> str:
@@ -68,13 +60,10 @@ def _encode_size(n: int) -> str:
         raise ValueError(f"negative vertex count {n}")
     if n <= _MAX_SHORT:
         return chr(n + _OFFSET)
-    if n <= _MAX_MEDIUM:
-        chunks = [(n >> 12) & 63, (n >> 6) & 63, n & 63]
-        return "~" + "".join(chr(c + _OFFSET) for c in chunks)
-    if n <= _MAX_LONG:
-        chunks = [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
-        return "~~" + "".join(chr(c + _OFFSET) for c in chunks)
-    raise ValueError(f"vertex count {n} exceeds graph6 limit")
+    if n > _MAX_LONG:
+        raise ValueError(f"vertex count {n} exceeds graph6 limit")
+    prefix, top = ("~", 12) if n <= _MAX_MEDIUM else ("~~", 30)
+    return prefix + "".join(chr((n >> s & 63) + _OFFSET) for s in range(top, -1, -6))
 
 
 def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations, compress, permutations
 from itertools import product as iproduct
+from math import isqrt
 from typing import Callable
 
 from .construct import (
@@ -713,12 +714,12 @@ def _check_strongly_uniform(check, d):
     for g in d.graphs:
         bip = is_bipartite(g).bipartite
         for k in d.ks:
-            square = round(k ** 0.5) ** 2 == k
+            square = isqrt(k) ** 2 == k
             out = strongly_uniform_iasi(g, k)
             if square or bip:
                 ok = _k_uniform_iasi(out, k) and out.report.is_strong
                 if square and ok and g.edge_count:
-                    ok = out.report.completely_uniform == (k, round(k ** 0.5))
+                    ok = out.report.completely_uniform == (k, isqrt(k))
                 if not ok:
                     _fail(check, {"graph6": write_graph6(g), "k": k,
                                   "direction": "construct"})

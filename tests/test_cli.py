@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,17 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err == ("error: sum 524288+1048576=1572864 of pair (524288,1048576) "
                        "exceeds bound 1048576\n")
+
+    @pytest.mark.parametrize("k", [10 ** 400, (2 ** 53 + 1) ** 2],
+                             ids=["past-float", "square-past-float-precision"])
+    def test_huge_square_k_exits_two(self, k):
+        # both are perfect squares: the square branch refuses its
+        # progressions at the element bound, even on the triangle Bw
+        root = isqrt(k)
+        assert run("construct", "--kind", "strongly-uniform", "--graph", "Bw",
+                   "--k", str(k)) == (
+            2, "", f"error: a {root}-term progression with a prime difference above "
+                   f"{root} exceeds bound 1048576\n")
 
     def test_weakly_uniform(self):
         code, out, _ = run("construct", "--kind", "weakly-uniform",
@@ -685,6 +697,7 @@ class TestHostileInput:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_ARGV)
     @example(["minsize", "--graph", _THOUSAND, "--element-bound", "12", "--size-bound", "3"])
+    @example(["construct", "--kind", "strongly-uniform", "--graph", "Bw", "--k", str(10 ** 400)])
     def test_verdict_or_one_error_line(self, argv):
         # Hypothesis lifts the recursion limit by 2,000 while a test runs;
         # give main the 1,000 free frames of a fresh interpreter instead

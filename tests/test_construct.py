@@ -121,12 +121,19 @@ class TestStronglyUniform:
         out = strongly_uniform_iasi(cycle_graph(5), 1)
         assert out.report.edge_uniform_k == 1
 
-    @pytest.mark.parametrize("k", [1025 ** 2, 10 ** 30, 1049], ids=["square", "huge", "path"])
+    @pytest.mark.parametrize("k", [1025 ** 2, 10 ** 30, 1049, 10 ** 400],
+                             ids=["square", "huge", "path", "past-float"])
     def test_progression_past_the_element_bound_is_refused_unbuilt(self, k):
         # a 1,025-term progression with difference > 1,025 ends past 2^20;
         # refused before the prime search and before any label is built
         with pytest.raises(ElementBoundError, match="-term progression"):
             strongly_uniform_iasi(path_graph(1000), k)
+
+    def test_square_past_float_precision_is_a_square(self):
+        # a float square root rounds (2^53 + 1)^2 to a non-root, which
+        # would refuse the triangle as non-bipartite
+        with pytest.raises(ElementBoundError, match=rf"^a {2 ** 53 + 1}-term progression"):
+            strongly_uniform_iasi(complete_graph(3), (2 ** 53 + 1) ** 2)
 
     def test_1024_terms_pass_the_precheck(self):
         # 1,024 terms pass the pre-check; the labels themselves then hit the bound
@@ -184,6 +191,15 @@ class TestInducedLabelings:
         with pytest.raises(ValueError):
             induced_labeling("bogus", self.f2, self.f2)
 
+    @pytest.mark.parametrize("kind, second, message", [
+        ("complement", True, "complement takes a single labeling"),
+        ("union", False, "second operand labeling is required"),
+        ("cartesian", False, "second operand labeling is required"),
+    ])
+    def test_operand_count_checked(self, kind, second, message):
+        with pytest.raises(ConstructionError, match=message):
+            induced_labeling(kind, self.f3, self.f2 if second else None)
+
 
 class TestCoronaRooted:
     def test_corona_repair_trace(self):
@@ -201,6 +217,17 @@ class TestCoronaRooted:
         assert not out.repaired
         assert labels_of(out) == [[1], [2], [4], [8], [6], [12]]
         assert out.report.is_iasl and out.report.is_iasi
+
+    def test_rooted_equal_labels_keep_the_last_multiple(self):
+        # no multiple of two equal labels is injective: each copy keeps its
+        # last multiplier (24, then 48) and the repair pass separates them
+        f1 = canonical_iasi(complete_graph(2)).labeling
+        f2 = SetLabeling(path_graph(3), [iset(1), iset(4), iset(4)])
+        out = rooted_labeling(f1, f2, 0)
+        assert not out.formula_report.is_iasl
+        assert [(e.vertex, e.original, e.replacement) for e in out.repair_log] == [
+            (3, iset(96), iset(864)), (5, iset(192), iset(1472))]
+        assert labels_of(out) == [[1], [2], [96], [864], [192], [1472]]
 
 
 class TestRewiring:
@@ -252,6 +279,17 @@ class TestRewiring:
         f = canonical_iasi(path_graph(3)).labeling
         with pytest.raises((ConstructionError, ValueError)):
             minor_labeling(f, [("delete-edge", (0, 2))])
+
+    @pytest.mark.parametrize("step, error, message", [
+        (("delete-edge", (-1, 1)), GraphError, r"edge \(-1,1\) not in graph"),
+        (("delete-edge", (1, 3)), GraphError, r"edge \(1,3\) not in graph"),
+        (("contract", (-1, 1)), GraphError, r"edge \(-1,1\) not in graph"),
+        (("merge", (0, 1)), ConstructionError, "unknown minor step 'merge'"),
+    ], ids=["negative-edge", "edge-out-of-range", "negative-contract", "unknown"])
+    def test_minor_step_refused(self, step, error, message):
+        f = canonical_iasi(path_graph(3)).labeling
+        with pytest.raises(error, match=message):
+            minor_labeling(f, [step])
 
 
 class TestDerivedGraphFormulas:
@@ -306,6 +344,24 @@ class TestTransfer:
         f = canonical_iasi(path_graph(3)).labeling
         with pytest.raises(ConstructionError):
             homeomorphic_transfer(f, [(0, 1)], path_graph(4), [], [0, 0, 2, 3])
+
+    @pytest.mark.parametrize("h, undo, message", [
+        (path_graph(3), [(0, 1), (0, 1)], "vertex 2 is not a subdivision vertex"),
+        (complete_graph(3), [(0, 1), (0, 1)], r"cannot reduce 2: \(0,1\) already present"),
+        (path_graph(3), [], "undoing the subdivisions did not recover the target"),
+    ], ids=["degree", "chord", "target"])
+    def test_script_that_changes_between_passes_is_refused(self, h, undo, message):
+        # h_script is read twice: forward to subdivide, then in reverse to
+        # undo; here the second read yields undo instead of [(0, 1)]
+        class Script:
+            passes = iter([[(0, 1)], undo])
+
+            def __iter__(self):
+                return iter(next(self.passes))
+
+        f = canonical_iasi(h).labeling
+        with pytest.raises(ConstructionError, match=message):
+            homeomorphic_transfer(f, [(0, 1)], h, Script(), range(4))
 
 
 class TestOutcomeJson:

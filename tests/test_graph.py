@@ -46,6 +46,11 @@ class TestCore:
         assert g.adjacency[0] == frozenset({1, 2, 3})
         assert g.has_edge(0, 2) and not g.has_edge(1, 2)
 
+    @pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (-3, 0), (3, 1), (1, 3), (0, 2)])
+    def test_has_edge_is_false_off_the_edges(self, u, v):
+        # path 0-1-2: a negative id must not wrap around to vertex 2
+        assert not path_graph(3).has_edge(u, v)
+
     def test_isolated_vertices(self):
         g = build(3, [(0, 1)])
         assert g.isolated_vertices() == (2,)
@@ -293,6 +298,31 @@ class TestOperations:
         res = induced_subgraph(cycle_graph(5), [0, 1, 3])
         assert res.kept == (0, 1, 3)
         assert _edge_set(res.graph) == {(0, 1)}
+
+    @pytest.mark.parametrize("make, names", [
+        (lambda a: union(a, path_graph(2)).graph, ("a", "b", "0", "1")),
+        (lambda a: union(path_graph(2), a, {0: 1}).graph, ("0", "1", "b")),
+        (lambda a: join(a, empty_graph(1)), ("a", "b", "0")),
+        (lambda a: subdivide_edge(a, (1, 0)), ("a", "b", "0-1")),
+    ], ids=["union-first", "union-second", "join", "subdivide"])
+    def test_names_propagate(self, make, names):
+        assert make(Graph(2, [(0, 1)], names=("a", "b"))).names == names
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Graph(2, [], names=("a",)), "names length must equal vertex count"),
+        (lambda: union(path_graph(2), path_graph(2), {2: 0}), "correspondence 2->0 out"),
+        (lambda: union(path_graph(2), path_graph(2), {0: -1}), "correspondence 0->-1 out"),
+        (lambda: product("direct", empty_graph(0), path_graph(2)), "operands must be non-empty"),
+        (lambda: product("strong", path_graph(2), empty_graph(0)), "operands must be non-empty"),
+        (lambda: corona(empty_graph(0), path_graph(2)), "first operand must be non-empty"),
+        (lambda: induced_subgraph(path_graph(3), [0, 3]), "vertex 3 out of range"),
+        (lambda: induced_subgraph(path_graph(3), [-1, 1]), "vertex -1 out of range"),
+        (lambda: contract_edge(path_graph(3), (-1, 0)), r"edge \(-1,0\) not in graph"),
+    ], ids=["names", "union-j", "union-i", "product-first", "product-second", "corona",
+            "induced-high", "induced-negative", "contract-negative"])
+    def test_malformed_operands_rejected(self, make, message):
+        with pytest.raises(GraphError, match=message):
+            make()
 
 
 class TestEnumerate:

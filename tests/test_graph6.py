@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from iasltools import graph6
 from iasltools.graph6 import Graph6Error, decode_graph6, encode_graph6
 
 nx = pytest.importorskip("networkx")
@@ -152,6 +153,28 @@ class TestStrictness:
             encode_graph6(2, [(0, 2)])
         with pytest.raises((ValueError, Graph6Error)):
             encode_graph6(2, [(1, 1)])
+
+
+class TestSizeHeader:
+    @pytest.mark.parametrize("n, text", [
+        (0, "?"), (62, "}"), (63, "~??~"), (258047, "~}~~"),
+        (258048, "~~???~??"), (2 ** 36 - 1, "~~~~~~~~"),
+    ])
+    def test_encode_size(self, n, text):
+        assert graph6._encode_size(n) == text
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, "negative vertex count -1"),
+        (2 ** 36, "vertex count 68719476736 exceeds graph6 limit"),
+    ])
+    def test_encode_size_out_of_range(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            graph6._encode_size(n)
+
+    @pytest.mark.parametrize("n", [62, 63, 258047, 258048, 2 ** 36 - 1])
+    def test_round_trip(self, n):
+        text = graph6._encode_size(n)
+        assert graph6._decode_size(text + "?") == (n, len(text))
 
 
 class TestAcceptedIsCanonical:

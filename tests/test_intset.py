@@ -112,6 +112,11 @@ class TestIntegralMultiple:
         with pytest.raises(ValueError):
             integral_multiple(0, iset(1))
 
+    def test_multiple_past_the_bound_rejected(self):
+        half = DEFAULT_ELEMENT_BOUND // 2
+        with pytest.raises(ElementBoundError, match=rf"^multiple 3\*{half}={3 * half} exceeds"):
+            integral_multiple(3, iset(1, half))
+
     @given(st.integers(1, 6), small_sets)
     def test_preserves_cardinality(self, n, a):
         assert len(integral_multiple(n, a)) == len(a)

@@ -45,6 +45,18 @@ class TestSetLabeling:
         with pytest.raises(LabelingError):
             induced_edge_label(f, 0, 2)
 
+    @pytest.mark.parametrize("u, v", [(0, 2), (-1, 1), (1, -1), (5, 1), (1, 5)])
+    def test_non_edge_has_no_edge_label(self, u, v):
+        # -1 must not wrap around to vertex 2, whose edge 1-2 is labeled {6}
+        f = lab(path_graph(3), 1, 2, 4)
+        with pytest.raises(LabelingError, match=rf"^\({u},{v}\) is not an edge$"):
+            induced_edge_label(f, u, v)
+
+    @pytest.mark.parametrize("labels", [[iset(1), {2}], [iset(1), None]])
+    def test_labels_must_be_integer_sets(self, labels):
+        with pytest.raises(LabelingError, match="labels must be IntegerSet values"):
+            SetLabeling(path_graph(2), labels)
+
     def test_ground_set(self):
         f = lab(path_graph(2), (0, 5), (2, 5))
         assert ground_set(f) == (0, 2, 5)

@@ -518,6 +518,13 @@ class TestSuite:
         assert json.dumps(first.to_json(), sort_keys=True) == \
                json.dumps(second.to_json(), sort_keys=True)
 
+    def test_zero_budget_suite_is_inconclusive(self):
+        corpus = Corpus(graphs=(complete_graph(2), path_graph(3)),
+                        max_element=3, max_label_size=2, ks=(2,))
+        suite = run_suite(corpus, SearchConfig(time_budget=0.0))
+        assert suite.verdict == "inconclusive"
+        assert "counterexample" not in {c.verdict for c in suite.checks}
+
     def test_suite_verdict_prefers_counterexample(self):
         corpus = Corpus(graphs=(complete_graph(3),), ks=(2,))
         suite = run_suite(corpus)

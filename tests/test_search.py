@@ -213,6 +213,10 @@ class TestKUniform:
         with pytest.raises(ValueError):
             find_k_uniform(path_graph(2), 0)
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'full'$"):
+            find_k_uniform(path_graph(2), 2, mode="full")
+
     def test_more_vertices_than_labels_is_exhausted_at_once(self, cold_search):
         # 300 isolated vertices, all twins, and 255 labels at 8/4: the
         # search ends after its first deadline check, filling no row
@@ -397,6 +401,12 @@ class TestBinomialBound:
         f = SetLabeling(path_graph(3), [iset(1), iset(2), iset(1)])
         with pytest.raises(ValueError):
             check_binomial_bound(path_graph(3), f)
+
+    def test_rejects_a_labeling_of_another_graph(self):
+        from iasltools.construct import canonical_iasi
+        f = canonical_iasi(path_graph(3)).labeling
+        with pytest.raises(ValueError, match="^labeling does not belong to this graph$"):
+            check_binomial_bound(complete_graph(3), f)
 
     def test_json(self):
         from iasltools.construct import canonical_iasi
