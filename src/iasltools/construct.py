@@ -11,9 +11,9 @@ formula output is kept alongside as evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record
 from .graph import (
     PRODUCT_KINDS, Graph, GraphError, complement, contract_edge, corona,
     induced_subgraph, is_bipartite, join, line_graph, pair_id, product,
@@ -38,16 +38,14 @@ class ConstructionError(ValueError):
     """Operands violate a construction precondition."""
 
 
-@dataclass(frozen=True)
-class RepairEntry:
+class RepairEntry(Record):
     vertex: int
     original: IntegerSet
     replacement: IntegerSet
     reason: str
 
 
-@dataclass(frozen=True)
-class ConstructionOutcome:
+class ConstructionOutcome(Record):
     """labeling is always vertex-injective; formula_report classifies the
     raw construction before any repair (equal to report when untouched)."""
 
@@ -78,8 +76,7 @@ class ConstructionOutcome:
         }
 
 
-@dataclass(frozen=True)
-class NoConstruction:
+class NoConstruction(Record):
     """Explicit refusal with the certificate that justifies it."""
 
     reason: str
@@ -434,9 +431,10 @@ def homeomorphic_transfer(
     g_script and h_script each list edges to subdivide in sequence
     (ids current at each step; the new vertex is appended).  The
     correspondence maps subdivided-f.graph vertices to subdivided-h
-    vertices and must be an isomorphism.  Labels ride through it, then
-    the h-side subdivisions are undone in reverse: each added degree-2
-    vertex is removed, its label dropped, and the through edge restored.
+    vertices and must be an isomorphism.  Labels ride through it.  As
+    subdivide_edge appends each new vertex, undoing the h-side
+    subdivisions keeps the labels of vertices 0..h.vertex_count-1.  Each
+    script is read once, so it may be any iterable.
     """
     work = f
     for edge in g_script:
@@ -456,18 +454,5 @@ def homeomorphic_transfer(
     labels: list[IntegerSet | None] = [None] * n
     for v in range(n):
         labels[corr[v]] = work.labels[v]
-    graph = h_expanded
-    for _ in reversed(list(h_script)):
-        w = graph.vertex_count - 1
-        neigh = sorted(graph.adjacency[w])
-        if len(neigh) != 2:
-            raise ConstructionError(f"vertex {w} is not a subdivision vertex")
-        a, b = neigh
-        if graph.has_edge(a, b):
-            raise ConstructionError(f"cannot reduce {w}: ({a},{b}) already present")
-        edges = [e for e in graph.edges if w not in e] + [(a, b)]
-        graph = Graph(w, edges)
-        labels.pop()
-    if graph != h:
-        raise ConstructionError("undoing the subdivisions did not recover the target")
-    return _finalize(h, labels, note="transferred across subdivision isomorphism")
+    return _finalize(h, labels[:h.vertex_count],
+                     note="transferred across subdivision isomorphism")

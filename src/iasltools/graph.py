@@ -9,11 +9,11 @@ indices, edge vertices) and are excluded from equality.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import combinations, product as iproduct
-from typing import Iterator
 
+from ._record import Record
 from .graph6 import decode_graph6, encode_graph6
 
 __all__ = [
@@ -42,13 +42,12 @@ class DuplicateEdgeWarning(UserWarning):
 MAX_ENUMERATION_VERTICES = 6
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class Graph(Record, uncompared=("names",)):
     """Simple undirected graph on vertices 0..vertex_count-1."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
+    names: tuple[str, ...] | None = None
 
     def __init__(self, vertex_count: int, edges=(), names=None):
         if vertex_count < 0:
@@ -225,8 +224,7 @@ def empty_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # bipartiteness
 
-@dataclass(frozen=True)
-class BipartitenessResult:
+class BipartitenessResult(Record):
     bipartite: bool
     coloring: tuple[int, ...] | None
     odd_cycle: tuple[int, ...] | None
@@ -267,8 +265,7 @@ def complement(g: Graph) -> Graph:
     return Graph(g.vertex_count, edges, names=g.names)
 
 
-@dataclass(frozen=True)
-class UnionResult:
+class UnionResult(Record):
     graph: Graph
     map_first: tuple[int, ...]
     map_second: tuple[int, ...]
@@ -399,8 +396,7 @@ def rooted_product(g1: Graph, g2: Graph, root: int) -> Graph:
     return Graph(n1 + n1 * (n2 - 1), edges, names=names)
 
 
-@dataclass(frozen=True)
-class LineGraphResult:
+class LineGraphResult(Record):
     graph: Graph
     vertex_edges: tuple[tuple[int, int], ...]   # line-graph vertex k <-> this edge
 
@@ -418,8 +414,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     return LineGraphResult(Graph(len(base), edges, names=names), base)
 
 
-@dataclass(frozen=True)
-class TotalGraphResult:
+class TotalGraphResult(Record):
     graph: Graph
     vertex_part: tuple[int, ...]               # ids carrying original vertices
     edge_part: tuple[int, ...]                 # ids carrying original edges
@@ -456,8 +451,7 @@ def subdivide_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph(w + 1, edges, names=names)
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(Record):
     graph: Graph
     vertex_map: tuple[int, ...]   # old id -> new id; both endpoints map together
 
@@ -480,8 +474,7 @@ def contract_edge(g: Graph, edge: tuple[int, int]) -> ContractionResult:
     return ContractionResult(Graph(g.vertex_count - 1, edges), tuple(vmap))
 
 
-@dataclass(frozen=True)
-class SubgraphResult:
+class SubgraphResult(Record):
     graph: Graph
     kept: tuple[int, ...]   # new id k <-> old id kept[k]
 

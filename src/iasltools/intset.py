@@ -8,8 +8,9 @@ exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from ._record import Record
 
 __all__ = [
     "DEFAULT_ELEMENT_BOUND", "ElementBoundError", "IntegerSet", "iset", "sumset",
@@ -26,8 +27,7 @@ class ElementBoundError(ValueError):
     """An element or arithmetic result exceeds DEFAULT_ELEMENT_BOUND."""
 
 
-@dataclass(frozen=True, order=True, init=False)
-class IntegerSet:
+class IntegerSet(Record, order=True):
     """Non-empty finite set of non-negative integers, kept sorted ascending."""
 
     elements: tuple[int, ...]
@@ -133,8 +133,7 @@ def difference_set(a: IntegerSet) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True, init=False)
-class CompatibilityTable:
+class CompatibilityTable(Record):
     """Partition of a.elements x b.elements into equal-sum classes.
 
     The scalar fields come from the per-sum pair counts.  classes holds
@@ -152,8 +151,8 @@ class CompatibilityTable:
 
     def __init__(self, first, second, index, neglecting_number, max_class_size,
                  saturated_sums):
-        # One dict update, not the six frozen-field setattr calls of the
-        # generated __init__: a table is built per pair in the oracle sweeps.
+        # One dict update, without Record.__init__'s matching of arguments
+        # to fields: a table is built per pair in the oracle sweeps.
         self.__dict__.update(
             first=first, second=second, index=index,
             neglecting_number=neglecting_number, max_class_size=max_class_size,

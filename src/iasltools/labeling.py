@@ -9,8 +9,7 @@ for every false verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .graph import Graph, parse_graph6, write_graph6
 from .intset import IntegerSet, difference_set, sumset
 
@@ -26,8 +25,7 @@ class LabelingError(ValueError):
     """Labeling does not fit its graph or the requested edge."""
 
 
-@dataclass(frozen=True, init=False)
-class SetLabeling:
+class SetLabeling(Record):
     """A graph together with one IntegerSet per vertex.
 
     Injectivity is not required here; it is a verdict, not a precondition.
@@ -63,8 +61,7 @@ def ground_set(f: SetLabeling) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True, init=False)
-class EdgeRecord:
+class EdgeRecord(Record):
     u: int
     v: int
     label: IntegerSet
@@ -74,16 +71,15 @@ class EdgeRecord:
     strong: bool
 
     def __init__(self, u, v, label, size, neglecting_number, weak, strong):
-        # One dict update, not the seven frozen-field setattr calls of the
-        # generated __init__: classify builds one record per edge.
+        # One dict update, without Record.__init__'s matching of arguments
+        # to fields: classify builds one record per edge.
         self.__dict__.update(
             u=u, v=v, label=label, size=size,
             neglecting_number=neglecting_number, weak=weak, strong=strong,
         )
 
 
-@dataclass(frozen=True, init=False)
-class Violation:
+class Violation(Record):
     kind: str
     where: tuple
     note: str = ""
@@ -92,8 +88,7 @@ class Violation:
         self.__dict__.update(kind=kind, where=where, note=note)
 
 
-@dataclass(frozen=True, init=False)
-class ClassificationReport:
+class ClassificationReport(Record, uncompared=("violations",)):
     is_iasl: bool                      # vertex map injective
     is_iasi: bool                      # induced edge map injective
     is_weak: bool
@@ -103,7 +98,7 @@ class ClassificationReport:
     completely_uniform: tuple[int, int] | None
     vacuous_edges: bool
     per_edge: tuple[EdgeRecord, ...]
-    violations: tuple[Violation, ...] = field(compare=False)
+    violations: tuple[Violation, ...]
 
     def __init__(self, is_iasl, is_iasi, is_weak, is_strong, edge_uniform_k,
                  vertex_uniform_l, completely_uniform, vacuous_edges, per_edge,

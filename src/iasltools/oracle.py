@@ -15,12 +15,12 @@ and reports empty domains and exhausted search budgets as inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import combinations, compress, permutations
 from itertools import product as iproduct
 from math import isqrt
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import Record
 from .construct import (
     NoConstruction, canonical_iasi, line_graph_labeling, strongly_uniform_iasi,
     total_graph_labeling, two_uniform_iasi, weakly_uniform_iasi,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Domain overrides; fields left None fall back to per-check defaults."""
 
     graphs: tuple[Graph, ...] | None = None
@@ -75,15 +74,14 @@ class Corpus:
             raise ValueError(f"ks must be non-empty and positive, got {self.ks}")
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(Record, frozen=False):
     check_id: str
     corpus: str
     config: SearchConfig
     verdict: str                 # pass | counterexample | inconclusive
     reason: str = ""
-    counterexamples: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    counterexamples: list = []
+    details: dict = {}
 
     def to_json(self) -> dict:
         return {
@@ -100,8 +98,7 @@ class TheoremCheck:
 # ---------------------------------------------------------------------------
 # registration and domain resolution
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(Record):
     run: Callable
     corpus: str
     family: Callable | None
@@ -834,7 +831,7 @@ def run_check(
         name: value for name in ("max_element", "max_label_size", "ks")
         if (value := getattr(corpus, name)) is not None
     }
-    d = replace(spec.defaults, graphs=graphs, **overrides)
+    d = Corpus(**{**vars(spec.defaults), "graphs": graphs, **overrides})
     description = spec.corpus.format(
         graphs=described, max_element=d.max_element,
         max_label_size=d.max_label_size, ks=sorted(d.ks or ()),
@@ -853,8 +850,7 @@ def run_check(
     return check
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record, frozen=False):
     checks: list[TheoremCheck]
 
     @property

@@ -13,11 +13,11 @@ a description of the space they are scoped to; they never claim more.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
 
+from ._record import Record
 from .graph import Graph, bits, cycle_graph
 from .intset import IntegerSet
 from .labeling import SetLabeling, classify, ground_set, labeling_to_json
@@ -33,8 +33,7 @@ MAX_ELEMENT_BOUND = 12
 MAX_LABELS = 1023
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Search bounds: label elements from {0..element_bound}, k-uniform
     labels of at most size_bound elements, time_budget wall-clock seconds.
 
@@ -82,13 +81,12 @@ class SearchConfig:
         }
 
 
-@dataclass
-class Certificate:
+class Certificate(Record, frozen=False):
     kind: str                        # witness | exhausted | budget_exceeded
     config: SearchConfig
     description: str
     witness: SetLabeling | None = None
-    data: dict = field(default_factory=dict)
+    data: dict = {}
 
     def to_json(self) -> dict:
         out = {
@@ -425,8 +423,7 @@ def find_k_uniform(
 # ---------------------------------------------------------------------------
 # binomial bound
 
-@dataclass(frozen=True)
-class BinomialBoundCheck:
+class BinomialBoundCheck(Record):
     vertex_count: int
     ground_set_size: int
     label_size: int

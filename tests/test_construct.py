@@ -345,23 +345,35 @@ class TestTransfer:
         with pytest.raises(ConstructionError):
             homeomorphic_transfer(f, [(0, 1)], path_graph(4), [], [0, 0, 2, 3])
 
-    @pytest.mark.parametrize("h, undo, message", [
-        (path_graph(3), [(0, 1), (0, 1)], "vertex 2 is not a subdivision vertex"),
-        (complete_graph(3), [(0, 1), (0, 1)], r"cannot reduce 2: \(0,1\) already present"),
-        (path_graph(3), [], "undoing the subdivisions did not recover the target"),
-    ], ids=["degree", "chord", "target"])
-    def test_script_that_changes_between_passes_is_refused(self, h, undo, message):
-        # h_script is read twice: forward to subdivide, then in reverse to
-        # undo; here the second read yields undo instead of [(0, 1)]
+    @pytest.mark.parametrize("h, second_pass", [
+        (path_graph(3), [(0, 1), (0, 1)]),
+        (complete_graph(3), [(0, 1), (0, 1)]),
+        (path_graph(3), []),
+    ], ids=["path-two-edges", "triangle-two-edges", "path-no-edges"])
+    def test_script_is_read_once(self, h, second_pass):
+        # a script whose second read would yield second_pass instead of
+        # [(0, 1)] transfers exactly as the list [(0, 1)] does
         class Script:
-            passes = iter([[(0, 1)], undo])
+            passes = iter([[(0, 1)], second_pass])
 
             def __iter__(self):
                 return iter(next(self.passes))
 
         f = canonical_iasi(h).labeling
-        with pytest.raises(ConstructionError, match=message):
-            homeomorphic_transfer(f, [(0, 1)], h, Script(), range(4))
+        script = Script()
+        out = homeomorphic_transfer(f, [(0, 1)], h, script, range(4))
+        want = homeomorphic_transfer(f, [(0, 1)], h, [(0, 1)], range(4))
+        assert out == want and out.to_json() == want.to_json()
+        assert next(script.passes) == second_pass
+
+    def test_generator_script(self):
+        f = canonical_iasi(path_graph(3)).labeling
+        out = homeomorphic_transfer(
+            f, [(0, 1)], path_graph(3), (e for e in [(0, 1)]), [0, 1, 2, 3])
+        assert out == homeomorphic_transfer(
+            f, [(0, 1)], path_graph(3), [(0, 1)], [0, 1, 2, 3])
+        assert out.labeling.graph == path_graph(3)
+        assert labels_of(out) == [[1], [2], [4]]
 
 
 class TestOutcomeJson:

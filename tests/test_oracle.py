@@ -1,6 +1,5 @@
 """The claim-check registry: verdicts, fault injection, certificates."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,8 +13,8 @@ from iasltools.graph import (
 from iasltools import oracle, search
 from iasltools.intset import IntegerSet, sumset
 from iasltools.labeling import (
-    SetLabeling, classify, labeling_to_json, strong_structure_check,
-    weak_structure_check,
+    ClassificationReport, SetLabeling, classify, labeling_to_json,
+    strong_structure_check, weak_structure_check,
 )
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
 from iasltools.search import MAX_ELEMENT_BOUND, Certificate, SearchConfig
@@ -258,7 +257,7 @@ class TestFaultInjection:
     def test_flipped_classify_is_caught(self, monkeypatch, cid, attr):
         def flipped(f):
             report = classify(f)
-            return dataclasses.replace(report, **{attr: not getattr(report, attr)})
+            return ClassificationReport(**{**vars(report), attr: not getattr(report, attr)})
 
         monkeypatch.setattr(oracle, "classify", flipped)
         check = run_check(cid, corpus=STRIDE_CORPUS)
