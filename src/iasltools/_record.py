@@ -12,6 +12,12 @@ Class keywords, as for a dataclass:
     order       (default False) define <, <=, > and >=
     uncompared  fields left out of ==, hash and order, which compare
                 records of one class by the tuple of the other fields
+
+trusted(cls, **fields) builds a record in one dict update, without
+__init__ or __post_init__, for internal code that already holds valid
+fields in canonical form.  It checks nothing: give every field, in field
+order, and never use it on values from outside the program or on a class
+whose __post_init__ validates (SearchConfig, Corpus).
 """
 
 from __future__ import annotations
@@ -75,6 +81,13 @@ class Record:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def trusted(cls, **fields):
+    """A cls record holding fields, built without __init__ or __post_init__."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
 
 
 def _ordering(op):

@@ -139,8 +139,22 @@ def _verified(graph: Graph, labels, note: str, ok, name: str) -> ConstructionOut
 # ---------------------------------------------------------------------------
 # direct constructions
 
+def _powers_in_bound(g: Graph) -> None:
+    """Refuse g before it gets labels {2^v} or {0, 2^v}: 2^v is in bound
+    while v <= 20, and an edge's largest sum 2^u + 2^v (u < v) while v <= 19."""
+    top, bound = DEFAULT_ELEMENT_BOUND.bit_length() - 1, DEFAULT_ELEMENT_BOUND
+    if g.vertex_count > top + 1:
+        raise ElementBoundError(f"element 2^{top + 1}={2 * bound} of vertex {top + 1} "
+                                f"exceeds bound {bound}")
+    for u, v in g.edges:
+        if v >= top:
+            raise ElementBoundError(f"sum 2^{u}+2^{v}={(1 << u) + (1 << v)} on edge "
+                                    f"({u},{v}) exceeds bound {bound}")
+
+
 def canonical_iasi(g: Graph) -> ConstructionOutcome:
     """Vertex i gets {2^i}; binary uniqueness makes both maps injective."""
+    _powers_in_bound(g)
     labels = [IntegerSet((1 << i,)) for i in g.vertices()]
     return _verified(g, labels, "singleton powers of two",
                      lambda r: r.is_iasi, "canonical")
@@ -155,6 +169,7 @@ def two_uniform_iasi(g: Graph) -> ConstructionOutcome | NoConstruction:
     side = is_bipartite(g)
     if not side.bipartite:
         return NoConstruction("graph is not bipartite", side.odd_cycle)
+    _powers_in_bound(g)
     labels = []
     for v in g.vertices():
         if side.coloring[v] == 0:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
-from ._record import Record
+from ._record import Record, trusted
 from .graph6 import decode_graph6, encode_graph6
 
 __all__ = [
@@ -147,14 +147,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def _trusted(vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    """Graph() of edges already distinct, in range and sorted, without re-checking,
-    in one dict update rather than three frozen-field setattr calls."""
-    g = object.__new__(Graph)
-    g.__dict__.update(vertex_count=vertex_count, edges=edges, names=None)
-    return g
-
-
 def build(vertex_count: int, edges) -> Graph:
     """Validate user input and return a canonical Graph.
 
@@ -183,9 +175,8 @@ def parse_graph6(text: str) -> Graph:
     string of a graph, the one encode_graph6 writes.
     """
     n, edges = decode_graph6(text)
-    g = _trusted(n, tuple(sorted(edges)))
-    g.__dict__["_graph6"] = text
-    return g
+    return trusted(Graph, vertex_count=n, edges=tuple(sorted(edges)), names=None,
+                   _graph6=text)
 
 
 def write_graph6(g: Graph) -> str:
@@ -533,7 +524,7 @@ def enumerate_graphs(
                 if not l & c:
                     break
             else:
-                yield _trusted(n, edges + high)
+                yield trusted(Graph, vertex_count=n, edges=edges + high, names=None)
 
 
 def _half_table(pairs):

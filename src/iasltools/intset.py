@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._record import Record
+from ._record import Record, trusted
 
 __all__ = [
     "DEFAULT_ELEMENT_BOUND", "ElementBoundError", "IntegerSet", "iset", "sumset",
@@ -69,17 +69,6 @@ class IntegerSet(Record, order=True):
         return list(self.elements)
 
 
-def _trusted(elements: tuple[int, ...]) -> IntegerSet:
-    """Wrap a tuple that is already sorted, distinct, non-empty and in bound.
-
-    Used for results whose validity follows from validated inputs; the
-    value is indistinguishable from one built through IntegerSet().
-    """
-    out = object.__new__(IntegerSet)
-    out.__dict__["elements"] = elements
-    return out
-
-
 def iset(*elements: int) -> IntegerSet:
     """Shorthand constructor: iset(1, 2) == IntegerSet((1, 2))."""
     return IntegerSet(elements)
@@ -101,7 +90,7 @@ def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
                     raise ElementBoundError(
                         f"sum {x}+{y}={x + y} of pair ({x},{y}) exceeds bound {bound}"
                     )
-    return _trusted(tuple(sorted({x + y for x in ae for y in be})))
+    return trusted(IntegerSet, elements=tuple(sorted({x + y for x in ae for y in be})))
 
 
 def integral_multiple(n: int, a: IntegerSet) -> IntegerSet:
@@ -149,16 +138,6 @@ class CompatibilityTable(Record):
     max_class_size: int
     saturated_sums: tuple[int, ...]
 
-    def __init__(self, first, second, index, neglecting_number, max_class_size,
-                 saturated_sums):
-        # One dict update, without Record.__init__'s matching of arguments
-        # to fields: a table is built per pair in the oracle sweeps.
-        self.__dict__.update(
-            first=first, second=second, index=index,
-            neglecting_number=neglecting_number, max_class_size=max_class_size,
-            saturated_sums=saturated_sums,
-        )
-
     @cached_property
     def classes(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         grouped: dict[int, list[tuple[int, int]]] = {}
@@ -184,6 +163,8 @@ def compatibility_table(a: IntegerSet, b: IntegerSet) -> CompatibilityTable:
     # no class exceeds the smaller size: one is saturated only if the largest is
     if largest == saturation:
         saturated = tuple(sorted([s for s, c in counts.items() if c == saturation]))
-    return CompatibilityTable(
-        a, b, index, len(ae) * len(be) - index, largest, saturated
+    return trusted(
+        CompatibilityTable, first=a, second=b, index=index,
+        neglecting_number=len(ae) * len(be) - index, max_class_size=largest,
+        saturated_sums=saturated,
     )

@@ -9,7 +9,7 @@ for every false verdict.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, trusted
 from .graph import Graph, parse_graph6, write_graph6
 from .intset import IntegerSet, difference_set, sumset
 
@@ -70,22 +70,11 @@ class EdgeRecord(Record):
     weak: bool
     strong: bool
 
-    def __init__(self, u, v, label, size, neglecting_number, weak, strong):
-        # One dict update, without Record.__init__'s matching of arguments
-        # to fields: classify builds one record per edge.
-        self.__dict__.update(
-            u=u, v=v, label=label, size=size,
-            neglecting_number=neglecting_number, weak=weak, strong=strong,
-        )
-
 
 class Violation(Record):
     kind: str
     where: tuple
     note: str = ""
-
-    def __init__(self, kind, where, note=""):
-        self.__dict__.update(kind=kind, where=where, note=note)
 
 
 class ClassificationReport(Record, uncompared=("violations",)):
@@ -99,17 +88,6 @@ class ClassificationReport(Record, uncompared=("violations",)):
     vacuous_edges: bool
     per_edge: tuple[EdgeRecord, ...]
     violations: tuple[Violation, ...]
-
-    def __init__(self, is_iasl, is_iasi, is_weak, is_strong, edge_uniform_k,
-                 vertex_uniform_l, completely_uniform, vacuous_edges, per_edge,
-                 violations):
-        # one dict update, as in EdgeRecord: classify builds a report per call
-        self.__dict__.update(
-            is_iasl=is_iasl, is_iasi=is_iasi, is_weak=is_weak, is_strong=is_strong,
-            edge_uniform_k=edge_uniform_k, vertex_uniform_l=vertex_uniform_l,
-            completely_uniform=completely_uniform, vacuous_edges=vacuous_edges,
-            per_edge=per_edge, violations=violations,
-        )
 
     def is_k_uniform(self, k: int) -> bool:
         """Every edge label has size k; an edgeless graph is k-uniform for every k."""
@@ -174,7 +152,8 @@ def classify(f: SetLabeling) -> ClassificationReport:
         if e in seen:
             iasl = False
             violations.append(
-                Violation("vertex-label-duplicate", (seen[e], v), f"both get {labels[v]}")
+                trusted(Violation, kind="vertex-label-duplicate", where=(seen[e], v),
+                        note=f"both get {labels[v]}")
             )
         else:
             seen[e] = v
@@ -196,8 +175,9 @@ def classify(f: SetLabeling) -> ClassificationReport:
             la, lb = len(a), len(b)
             size = len(lab.elements)
             entry = memo[key] = [
-                EdgeRecord(u, v, lab, size, la * lb - size,
-                           size == max(la, lb), size == la * lb),
+                trusted(EdgeRecord, u=u, v=v, label=lab, size=size,
+                        neglecting_number=la * lb - size, weak=size == max(la, lb),
+                        strong=size == la * lb),
                 None, None,
             ]
         rec = entry[0]
@@ -207,22 +187,22 @@ def classify(f: SetLabeling) -> ClassificationReport:
             if iasi:
                 iasi = False
                 violations.append(
-                    Violation("edge-label-duplicate", (edge_seen[e], (u, v)),
-                              f"both get {rec.label}")
+                    trusted(Violation, kind="edge-label-duplicate",
+                            where=(edge_seen[e], (u, v)), note=f"both get {rec.label}")
                 )
         else:
             edge_seen[e] = (u, v)
         if weak and not rec.weak:
             weak = False
             if entry[1] is None:
-                entry[1] = Violation("weak-failure", ((u, v),),
-                                     f"size {rec.size} != max({len(a)},{len(b)})")
+                entry[1] = trusted(Violation, kind="weak-failure", where=((u, v),),
+                                   note=f"size {rec.size} != max({len(a)},{len(b)})")
             violations.append(entry[1])
         if strong and not rec.strong:
             strong = False
             if entry[2] is None:
-                entry[2] = Violation("strong-failure", ((u, v),),
-                                     f"size {rec.size} != {len(a)}*{len(b)}")
+                entry[2] = trusted(Violation, kind="strong-failure", where=((u, v),),
+                                   note=f"size {rec.size} != {len(a)}*{len(b)}")
             violations.append(entry[2])
 
     vacuous = not g.edges
@@ -233,17 +213,10 @@ def classify(f: SetLabeling) -> ClassificationReport:
     completely = None
     if edge_k is not None and vertex_l is not None:
         completely = (edge_k, vertex_l)
-    return ClassificationReport(
-        is_iasl=iasl,
-        is_iasi=iasi,
-        is_weak=weak,
-        is_strong=strong,
-        edge_uniform_k=edge_k,
-        vertex_uniform_l=vertex_l,
-        completely_uniform=completely,
-        vacuous_edges=vacuous,
-        per_edge=tuple(records),
-        violations=tuple(violations),
+    return trusted(
+        ClassificationReport, is_iasl=iasl, is_iasi=iasi, is_weak=weak, is_strong=strong,
+        edge_uniform_k=edge_k, vertex_uniform_l=vertex_l, completely_uniform=completely,
+        vacuous_edges=vacuous, per_edge=tuple(records), violations=tuple(violations),
     )
 
 

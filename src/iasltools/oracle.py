@@ -813,9 +813,12 @@ def run_check(
     corpus: Corpus | None = None,
     config: SearchConfig | None = None,
 ) -> TheoremCheck:
-    """Run one registered check; unknown ids raise KeyError."""
+    """Run one registered check; unknown ids raise KeyError, and bounds the
+    k-uniform checks would reject raise ValueError before any check runs."""
     if check_id not in _SPECS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    config = config if config is not None else SearchConfig()
+    config.check_label_universe()
     spec = _SPECS[check_id]
     corpus = corpus or Corpus()
     graphs = described = None
@@ -836,7 +839,6 @@ def run_check(
         graphs=described, max_element=d.max_element,
         max_label_size=d.max_label_size, ks=sorted(d.ks or ()),
     )
-    config = config if config is not None else SearchConfig()
     check = TheoremCheck(check_id, description + note, config, "pass")
     if graphs is not None and not graphs:
         check.verdict = "inconclusive"

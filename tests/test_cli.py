@@ -162,8 +162,12 @@ class TestConstruct:
         code, out, err = run("construct", "--kind", "canonical",
                              "--graph", write_graph6(path_graph(21)))
         assert (code, out) == (2, "")
-        assert err == ("error: sum 524288+1048576=1572864 of pair (524288,1048576) "
-                       "exceeds bound 1048576\n")
+        assert err == "error: sum 2^19+2^20=1572864 on edge (19,20) exceeds bound 1048576\n"
+
+    def test_two_uniform_past_vertex_twenty_exits_two(self):
+        assert run("construct", "--kind", "two-uniform",
+                   "--graph", write_graph6(empty_graph(22))) == (
+            2, "", "error: element 2^21=2097152 of vertex 21 exceeds bound 1048576\n")
 
     @pytest.mark.parametrize("k", [10 ** 400, (2 ** 53 + 1) ** 2],
                              ids=["past-float", "square-past-float-precision"])
@@ -291,6 +295,14 @@ class TestOracleCommand:
         # every connected graph on at most 2 vertices is bipartite, so no
         # uniform check would search; the cap is still checked up front
         assert run("oracle", "run", "all", "--max-vertices", "2",
+                   "--element-bound", "12") == (2, "", CAP_12_4)
+
+
+    @pytest.mark.parametrize("check", ["two-uniform-iff-bipartite",
+                                       "edge-size-equals-class-count"])
+    def test_single_check_refuses_the_same_bounds(self, check):
+        # neither check would search here; one check refuses what all refuse
+        assert run("oracle", "run", check, "--max-vertices", "2",
                    "--element-bound", "12") == (2, "", CAP_12_4)
 
 

@@ -12,7 +12,7 @@ from iasltools.construct import (
     two_uniform_iasi, weakly_uniform_iasi,
 )
 from iasltools.graph import (
-    GraphError, complete_graph, cycle_graph, empty_graph, enumerate_graphs,
+    Graph, GraphError, complete_graph, cycle_graph, empty_graph, enumerate_graphs,
     path_graph, star_graph,
 )
 from iasltools.intset import ElementBoundError, iset
@@ -45,6 +45,31 @@ class TestCanonical:
     def test_formula_report_equals_report_when_untouched(self):
         out = canonical_iasi(cycle_graph(4))
         assert out.formula_report == out.report
+
+
+class TestPowersOfTwoBound:
+    """{2^v} and {0, 2^v} fit the 2^20 bound exactly when every vertex is at
+    most 20 and the larger end of every edge at most 19; a graph past that
+    is refused by name before any label is built."""
+
+    @pytest.mark.parametrize("build", [canonical_iasi, two_uniform_iasi])
+    @pytest.mark.parametrize("g, message", [
+        (path_graph(21), "sum 2^19+2^20=1572864 on edge (19,20) exceeds bound 1048576"),
+        (Graph(21, [(0, 20)]), "sum 2^0+2^20=1048577 on edge (0,20) exceeds bound 1048576"),
+        (empty_graph(22), "element 2^21=2097152 of vertex 21 exceeds bound 1048576"),
+    ], ids=["path21", "edge-0-20", "empty22"])
+    def test_refused_naming_the_first_vertex_or_edge(self, build, g, message):
+        with pytest.raises(ElementBoundError) as info:
+            build(g)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build", [canonical_iasi, two_uniform_iasi])
+    @pytest.mark.parametrize("g", [empty_graph(21), Graph(21, [(0, 19)])],
+                             ids=["empty21", "edge-0-19"])
+    def test_largest_graphs_that_fit(self, build, g):
+        out = build(g)
+        assert not out.repaired and out.report.is_iasi
+        assert max(l.max_element for l in out.labeling.labels) == 1 << 20
 
 
 class TestTwoUniform:

@@ -396,13 +396,13 @@ class TestEnumerate:
     @pytest.fixture
     def built(self, monkeypatch):
         """The graphs enumerate_graphs builds, as it builds them."""
-        made, trusted = [], graph._trusted
+        made, trusted = [], graph.trusted
 
-        def counting(n, edges):
-            made.append(edges)
-            return trusted(n, edges)
+        def counting(cls, **fields):
+            made.append(fields["edges"])
+            return trusted(cls, **fields)
 
-        monkeypatch.setattr(graph, "_trusted", counting)
+        monkeypatch.setattr(graph, "trusted", counting)
         return made
 
     def test_builds_lazily(self, built):

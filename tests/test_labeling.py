@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iasltools.graph import (
-    complete_graph, cycle_graph, empty_graph, enumerate_graphs, path_graph,
+    Graph, complete_graph, cycle_graph, empty_graph, enumerate_graphs, parse_graph6,
+    path_graph, write_graph6,
 )
 from iasltools import labeling, oracle
+from iasltools._record import trusted
 from iasltools.intset import (
     DEFAULT_ELEMENT_BOUND, CompatibilityTable, ElementBoundError, IntegerSet,
-    _trusted, compatibility_table, iset, sumset,
+    compatibility_table, iset, sumset,
 )
 from iasltools.labeling import (
     ClassificationReport, EdgeRecord, LabelingError, SetLabeling, Violation,
@@ -363,13 +365,13 @@ def _assert_indistinguishable(fast, built):
 
 
 class TestFastConstructors:
-    """Values built without the validating or generated __init__ (a trusted
-    IntegerSet, a CompatibilityTable, an EdgeRecord) cannot be told apart
-    from values built through it."""
+    """Values built by _record.trusted, without __init__ (an IntegerSet, a
+    CompatibilityTable, an EdgeRecord, a Violation, a ClassificationReport,
+    a Graph), cannot be told apart from values built through it."""
 
     @pytest.mark.parametrize("elements", [(0,), (1, 2, 5), (3, DEFAULT_ELEMENT_BOUND)])
     def test_trusted_integer_set(self, elements):
-        fast = _trusted(elements)
+        fast = trusted(IntegerSet, elements=elements)
         built = IntegerSet(reversed(elements))
         _assert_indistinguishable(fast, built)
         assert str(fast) == str(built) and len(fast) == len(built)
@@ -444,6 +446,28 @@ class TestFastConstructors:
         assert other == rep and hash(other) == hash(rep)
         assert repr(other) != repr(rep)
         assert ClassificationReport(**{**values, "is_weak": not rep.is_weak}) != rep
+
+    def test_violations_of_each_kind_match_the_constructor(self):
+        rep = _classify_cold(lab(complete_graph(4), (0, 1), 2, (0, 1), (3, 5, 8)))
+        assert sorted(w.kind for w in rep.violations) == [
+            "edge-label-duplicate", "strong-failure", "vertex-label-duplicate",
+            "weak-failure",
+        ]
+        for w in rep.violations:
+            _assert_indistinguishable(w, Violation(w.kind, w.where, w.note))
+
+    def test_report_of_classify_matches_the_constructor(self):
+        rep = classify(lab(cycle_graph(4), (0, 1), 2, (0, 1), (3, 5)))
+        _assert_indistinguishable(rep, ClassificationReport(**_field_values(rep)))
+
+    def test_graphs_match_the_constructor(self):
+        for g in enumerate_graphs(4):
+            _assert_indistinguishable(g, Graph(g.vertex_count, g.edges))
+        for g in (complete_graph(5), cycle_graph(7), empty_graph(3)):
+            text = write_graph6(g)
+            built = Graph(g.vertex_count, g.edges)
+            assert write_graph6(built) == text       # seeds built's cached encoding
+            _assert_indistinguishable(parse_graph6(text), built)
 
     def test_violation_positional_keyword_and_default(self):
         values = dict(kind="weak-failure", where=((0, 1),), note="size 3 != max(2,2)")

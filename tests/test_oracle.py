@@ -10,10 +10,12 @@ from iasltools.graph import (
     complete_graph, cycle_graph, empty_graph, enumerate_graphs, parse_graph6,
     path_graph, star_graph, write_graph6,
 )
-from iasltools import oracle, search
-from iasltools.intset import IntegerSet, sumset
+from iasltools import construct, oracle, search
+from iasltools.construct import ConstructionOutcome
+from iasltools.graph import induced_subgraph
+from iasltools.intset import CompatibilityTable, IntegerSet, compatibility_table, sumset
 from iasltools.labeling import (
-    ClassificationReport, SetLabeling, classify, labeling_to_json,
+    ClassificationReport, SetLabeling, classify, labeling_from_json, labeling_to_json,
     strong_structure_check, weak_structure_check,
 )
 from iasltools.oracle import CHECK_IDS, Corpus, run_check, run_suite
@@ -275,6 +277,68 @@ class TestFaultInjection:
         check = run_check(cid, corpus=STRIDE_CORPUS)
         assert check.verdict == "counterexample"
         assert all("note" in r for r in check.counterexamples)
+
+    @pytest.mark.parametrize("cid, fails", [
+        ("iasl-existence", lambda r: not r.is_iasl),
+        ("iasi-existence", lambda r: not (r.is_iasl and r.is_iasi)),
+    ])
+    def test_canonical_repeating_a_label_is_caught(self, monkeypatch, cid, fails):
+        def repeating(g):
+            # vertex 1 gets vertex 0's label, and no repair is made
+            labels = list(construct.canonical_iasi(g).labeling.labels)
+            if len(labels) > 1:
+                labels[1] = labels[0]
+            f = SetLabeling(g, labels)
+            report = classify(f)
+            return ConstructionOutcome(f, False, (), report, report)
+
+        monkeypatch.setattr(oracle, "canonical_iasi", repeating)
+        check = run_check(cid, corpus=Corpus(max_vertices=3))
+        assert check.verdict == "counterexample" and check.counterexamples
+        for rec in check.counterexamples:
+            g = parse_graph6(rec["graph6"])
+            out = repeating(g)
+            assert out.repaired == rec["repaired"] and fails(out.report)
+            assert not fails(construct.canonical_iasi(g).report)
+
+    def test_classify_blind_to_two_vertex_restrictions_is_caught(self, monkeypatch):
+        def blind(f):
+            # calls the edge map of every 2-vertex labeling non-injective
+            report = classify(f)
+            if f.graph.vertex_count == 2:
+                return ClassificationReport(**{**vars(report), "is_iasi": False})
+            return report
+
+        def restriction(rec):
+            f = labeling_from_json(rec["labeling"])
+            sub = induced_subgraph(parse_graph6(rec["graph6"]), rec["subset"])
+            return SetLabeling(sub.graph, [f.labels[v] for v in sub.kept])
+
+        monkeypatch.setattr(oracle, "classify", blind)
+        check = run_check("subgraph-heredity", corpus=Corpus(graphs=(path_graph(3),)))
+        assert check.verdict == "counterexample" and check.counterexamples
+        for rec in check.counterexamples:
+            assert len(rec["subset"]) == 2
+            assert not blind(restriction(rec)).is_iasi
+            assert classify(restriction(rec)).is_iasi
+
+    @pytest.mark.parametrize("cid", ["saturated-class-size",
+                                     "edge-size-equals-class-count"])
+    def test_table_index_one_too_high_is_caught(self, monkeypatch, cid):
+        def high(a, b):
+            t = compatibility_table(a, b)
+            return CompatibilityTable(t.first, t.second, t.index + 1,
+                                      t.neglecting_number, t.max_class_size,
+                                      t.saturated_sums)
+
+        monkeypatch.setattr(oracle, "compatibility_table", high)
+        check = run_check(cid, corpus=Corpus(max_element=2))
+        assert check.verdict == "counterexample" and check.counterexamples
+        for rec in check.counterexamples:
+            table = high(IntegerSet(rec["first"]), IntegerSet(rec["second"]))
+            assert table.index == len(sumset(table.first, table.second)) + 1
+            if "index" in rec:
+                assert rec["index"] == table.index
 
     @pytest.mark.parametrize("mutant, in_both_tables", [
         (lambda a, b: (a, b) == ((1,), (0,)), False),
