@@ -88,7 +88,8 @@ class TestSummary:
 
 class TestRefusal:
     def test_refuses_a_changed_benchmark(self, tmp_path, monkeypatch):
-        bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+        bench = {"command": ["python3", "perfbench/run.py"], "paths": ["perfbench"],
+                 "run_seconds": 1,
                  "workloads": [{"name": "w"}], "end_to_end": []}
         (tmp_path / "perfbench").mkdir()
         (tmp_path / "perfbench" / "run.py").write_text("")

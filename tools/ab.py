@@ -1,22 +1,23 @@
 """A/B runs of perfbench/run.py: a parent commit against the working tree.
 
-    python tools/ab.py --parent REV --out BENCH_<n>.json [--pairs 10]
-                       [--seconds 40] [--seed 1] [--workload W ...] [--what TEXT]
+    python tools/ab.py --parent REV --out BENCH_<n>.json [--seed 1] [--what TEXT]
 
 `git archive REV` is extracted into one temporary tree, and the working
 tree's tracked files, uncommitted edits included, are copied into another
-(`git add` a new file first).  It refuses to run if perfbench/
-or BENCHMARK.json differ between the two, since each side would then
-measure something else.  For each pair and workload it runs each tree's own
+(`git add` a new file first).  It refuses to run if the benchmark's
+paths or BENCHMARK.json differ between the two, since each side would then
+measure something else.  For each of 10 pairs and every workload of
+BENCHMARK.json it runs each tree's own
 
     <BENCHMARK.json command> --workload W --seed S --seconds T --trace 0
 
-from that tree's root, with PYTHONPATH unset, so each side imports its own
-src/.  Pairs run in order, every workload of one pair before the next
-pair, and the seeds count up from --seed in that order.  The side that
-runs first alternates from one pair to the next over the whole run (with
-the default three workloads) and within each workload.  The file is
-rewritten after every pair, so an interrupted run keeps what it measured.
+from that tree's root, T being BENCHMARK.json's run_seconds, with
+PYTHONPATH unset, so each side imports its own src/.  Pairs run in order,
+every workload of one pair before the next pair, and the seeds count up
+from --seed in that order.  The side that runs first alternates from one
+pair to the next within each workload, and over the whole run when the
+number of workloads is odd.  The file is rewritten after every pair, so an
+interrupted run keeps what it measured.
 
 The output file has BENCH_24.json's keys: what, command, alternation,
 hardware, summary_method, summary and pairs.  Each pair holds both sides'
@@ -43,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def plan(workloads, pairs: int, seed: int):
@@ -139,33 +141,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="commit to measure against")
     ap.add_argument("--out", required=True, help="BENCH file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first run")
-    ap.add_argument("--workload", action="append", help="default: every workload")
     ap.add_argument("--what", default="", help="what the change is")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    compared = [*bench["paths"], "BENCHMARK.json"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     parent = _git("rev-parse", "--verify", args.parent + "^{commit}", text=True).strip()
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
 
     # compares the parent with the working tree's tracked files, as copied below
-    if subprocess.run(["git", "diff", "--quiet", parent, "--", "perfbench",
-                       "BENCHMARK.json"], cwd=ROOT).returncode:
-        sys.exit(f"error: perfbench/ or BENCHMARK.json differs between {parent[:12]} "
+    if subprocess.run(["git", "diff", "--quiet", parent, "--", *compared],
+                      cwd=ROOT).returncode:
+        sys.exit(f"error: {' or '.join(compared)} differs between {parent[:12]} "
                  "and the working tree, so the two sides would not run one benchmark")
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         trees = _make_trees(parent, Path(work))
         pairs = []
         head = _git("rev-parse", "HEAD", text=True).strip()
-        tail = ["--seconds", f"{seconds:g}", "--trace", "0"]
-        for workload, seed, first in plan(workloads, args.pairs, args.seed):
+        tail = ["--seconds", f"{bench['run_seconds']:g}", "--trace", "0"]
+        for workload, seed, first in plan(workloads, PAIRS, args.seed):
             command = [*bench["command"], "--workload", workload, "--seed", str(seed), *tail]
             runs = {side: _run(trees[side], command, env)
                     for side in (SIDES if first == "parent" else SIDES[::-1])}
